@@ -22,9 +22,7 @@ from .games import (
 from .dynamics import (
     ReplicatorField,
     Trajectory,
-    NPopulationState,
     field_eval,
-    replicator_field_n,
     integrate,
     phase_portrait,
 )

@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Reads a JSON problem spec (game, initial-state weights, analysis options),
-runs the requested analysis and writes a JSON report to stdout or a CSV data
-file to --out.  Numbers are emitted in shortest round-trip decimal form so
+runs the requested analysis and writes a JSON report or CSV data to stdout or
+to --out.  Numbers are emitted in shortest round-trip decimal form so
 identical specs produce byte-identical outputs.
 
-Exit codes: 0 success, 2 validation failure, 3 I/O failure.
+Exit codes: 0 success, 2 validation failure (including a malformed spec),
+3 I/O failure.
 """
 
 from __future__ import annotations
@@ -13,15 +14,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
+from typing import Callable, NamedTuple, Optional
 
 from .dynamics import (DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS, DEFAULT_STEP,
-                       ReplicatorField, integrate, phase_portrait)
-from .ess import compare_classical_quantum
+                       ReplicatorField, Trajectory, integrate, phase_portrait)
+from .ess import DEFAULT_STRICTNESS_TOL, compare_classical_quantum
 from .games import (ClassicalBimatrix, InitialStateWeights, SimplifiedGame,
                     ValidationError, k_params, quantum_transform)
 from .scenarios import make_case, scan_flip
-from .stability import (DEFAULT_ZERO_TOL, equilibria, interior_point, jacobian,
-                        eigenvalues, classify)
+from .stability import DEFAULT_ZERO_TOL, DEGENERATE, interior_point, linearize
 
 __all__ = ["main"]
 
@@ -34,10 +36,21 @@ BIMATRIX_KEYS = ("a11", "a12", "a21", "a22", "b11", "b12", "b21", "b22")
 WEIGHT_KEYS = ("w11", "w12", "w21", "w22")
 
 
-class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
+class IOFailure(Exception):
+    """A spec file could not be read or an output file could not be written."""
+
+
+def _number(name, value):
+    """A finite JSON number as a float; booleans and numeric strings are refused."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValidationError(f"{name} must be a finite number, got {json.dumps(value)}")
+
+
+def _integer(name, value):
+    if type(value) is not int:
+        raise ValidationError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
 
 
 def _load_spec(path):
@@ -45,66 +58,94 @@ def _load_spec(path):
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            spec = json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read spec file {path}: {exc}", EXIT_IO) from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"spec file {path} is not valid JSON: {exc}", EXIT_VALIDATION) from exc
+        raise IOFailure(f"cannot read spec file {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep
+        raise ValidationError(f"spec file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise ValidationError(f"spec must be a JSON object, got {json.dumps(spec)}")
+    options = spec.get("options", {})
+    if not isinstance(options, dict):
+        raise ValidationError(f"options must be an object, got {json.dumps(options)}")
+    return spec
 
 
 def _parse_game(spec):
     game = spec.get("game")
     if game is None:
-        raise CliError("spec is missing the 'game' object", EXIT_VALIDATION)
+        raise ValidationError("spec is missing the 'game' object")
+    if not isinstance(game, dict):
+        raise ValidationError(f"game must be an object, got {json.dumps(game)}")
     keys = set(game)
     if keys == set(SIMPLIFIED_KEYS):
-        simplified = SimplifiedGame(**{k: game[k] for k in SIMPLIFIED_KEYS})
+        simplified = SimplifiedGame(**{k: _number(k, game[k]) for k in SIMPLIFIED_KEYS})
         return simplified.to_bimatrix(), simplified
     if keys == set(BIMATRIX_KEYS):
-        full = ClassicalBimatrix(**{k: game[k] for k in BIMATRIX_KEYS})
+        full = ClassicalBimatrix(**{k: _number(k, game[k]) for k in BIMATRIX_KEYS})
         return full, SimplifiedGame.from_bimatrix(full)
-    raise CliError(
+    raise ValidationError(
         "game must have exactly the keys a,b,c,d or a11..a22,b11..b22; "
-        f"got {sorted(keys)}", EXIT_VALIDATION)
+        f"got {sorted(keys)}")
 
 
 def _parse_weights(spec, renormalize):
     weights = spec.get("weights")
     if weights is None:
-        raise CliError("spec is missing 'weights'", EXIT_VALIDATION)
+        raise ValidationError("spec is missing 'weights'")
     if isinstance(weights, dict):
         try:
             values = [weights[k] for k in WEIGHT_KEYS]
         except KeyError as exc:
-            raise CliError(f"weights is missing {exc.args[0]}", EXIT_VALIDATION) from exc
-    elif isinstance(weights, (list, tuple)) and len(weights) == 4:
-        values = list(weights)
+            raise ValidationError(f"weights is missing {exc.args[0]}") from exc
+    elif isinstance(weights, list) and len(weights) == 4:
+        values = weights
     else:
-        raise CliError("weights must be a 4-list or an object with w11..w22",
-                       EXIT_VALIDATION)
+        raise ValidationError("weights must be a 4-list or an object with w11..w22")
+    values = [_number(k, v) for k, v in zip(WEIGHT_KEYS, values)]
     if renormalize:
         return InitialStateWeights.renormalized(*values)
     return InitialStateWeights(*values)
 
 
-def _option(args, spec, name, default):
+def _field(args, spec):
+    _, simplified = _parse_game(spec)
+    return ReplicatorField.quantum(simplified, _parse_weights(spec, args.renormalize))
+
+
+def _option(args, spec, name, default, parse=_number):
     # flags win over the spec's options object; names use underscores in both
     value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return spec.get("options", {}).get(name, default)
+    if value is None:
+        value = spec.get("options", {}).get(name, default)
+    return parse(name, value)
 
 
-def _complex_pair(eigs):
-    return [[z.real, z.imag] for z in eigs]
+def _parse_start(args, spec):
+    raw = args.start if args.start is not None else spec.get("start")
+    if raw is None:
+        raise ValidationError("simulate needs a start point: --start X,Y")
+    if isinstance(raw, str):
+        parts = raw.split(",")
+        if len(parts) != 2:
+            raise ValidationError(f"--start must be X,Y; got {raw!r}")
+        try:
+            return (float(parts[0]), float(parts[1]))
+        except ValueError as exc:
+            raise ValidationError(f"--start must be numeric: {raw!r}") from exc
+    if isinstance(raw, list) and len(raw) == 2:
+        return (_number("start x", raw[0]), _number("start y", raw[1]))
+    raise ValidationError("start must be a pair of numbers")
 
 
-def _emit_json(payload, out_path):
-    text = json.dumps(payload, indent=2) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        _write_file(out_path, text)
+def _integration_options(args, spec):
+    return {"step": _option(args, spec, "step", DEFAULT_STEP),
+            "max_steps": _option(args, spec, "max_steps", DEFAULT_MAX_STEPS, _integer),
+            "convergence_tol": _option(args, spec, "tol", DEFAULT_CONVERGENCE_TOL)}
+
+
+def _emit_json(payload):
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _write_file(path, text):
@@ -112,7 +153,7 @@ def _write_file(path, text):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from exc
+        raise IOFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _csv_text(header, rows):
@@ -123,187 +164,117 @@ def _csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _verdict_payload(verdict):
-    return {
-        "is_attractor": verdict.is_attractor,
-        "is_ess": verdict.is_ess,
-        "marginal": verdict.marginal,
-        "roots": list(verdict.roots),
-        "margins": {"m_male": verdict.margins.m_male,
-                    "m_female": verdict.margins.m_female},
-    }
-
-
-def cmd_transform(args):
-    spec = _load_spec(args.spec)
+def _transform(args, spec):
     game, _ = _parse_game(spec)
     state = _parse_weights(spec, args.renormalize)
     pair = quantum_transform(game, state)
     k = k_params(state)
-    _emit_json({
+    return {
         "omega": [list(row) for row in pair.omega],
         "chi": [list(row) for row in pair.chi],
         "K1": k.K1,
         "K2": k.K2,
-    }, args.out)
-    return EXIT_OK
+    }
 
 
-def cmd_classify(args):
-    spec = _load_spec(args.spec)
-    _, simplified = _parse_game(spec)
-    state = _parse_weights(spec, args.renormalize)
-    tol = float(_option(args, spec, "tol", DEFAULT_ZERO_TOL))
-    fld = ReplicatorField.quantum(simplified, state)
-    warnings = []
-    reports = []
-    for eq in equilibria(fld):
-        jac = jacobian(fld, (eq.x, eq.y))
-        eigs = eigenvalues(jac)
-        tag = classify(eigs, tol)
-        if tag == "degenerate":
-            warnings.append(f"equilibrium ({eq.x}, {eq.y}) is degenerate at tol {tol}")
-        reports.append({
-            "x": eq.x,
-            "y": eq.y,
-            "kind": eq.kind,
-            "inside_unit_square": eq.inside_unit_square,
-            "jacobian": [list(row) for row in jac],
-            "eigenvalues": _complex_pair(eigs),
-            "tag": tag,
-        })
-    payload = {"K1": fld.K1, "K2": fld.K2, "equilibria": reports}
+def _classify(args, spec):
+    fld = _field(args, spec)
+    tol = _option(args, spec, "tol", DEFAULT_ZERO_TOL)
+    reports = linearize(fld, tol)
+    payload = {"K1": fld.K1, "K2": fld.K2, "equilibria": [{
+        **asdict(r.equilibrium),
+        "jacobian": [list(row) for row in r.jacobian],
+        "eigenvalues": [[z.real, z.imag] for z in r.eigs],
+        "tag": r.tag,
+    } for r in reports]}
     _, reason = interior_point(fld)
     if reason is not None:
         payload["interior_omitted_reason"] = reason
+    warnings = [f"equilibrium ({r.equilibrium.x}, {r.equilibrium.y}) "
+                f"is degenerate at tol {tol}" for r in reports if r.tag == DEGENERATE]
     if warnings:
         payload["warnings"] = warnings
-    _emit_json(payload, args.out)
-    return EXIT_OK
+    return payload
 
 
-def cmd_ess(args):
-    spec = _load_spec(args.spec)
+def _ess(args, spec):
     _, simplified = _parse_game(spec)
     state = _parse_weights(spec, args.renormalize)
-    tol = float(_option(args, spec, "tol", 1e-9))
-    report = compare_classical_quantum(simplified, state, tol=tol)
-    _emit_json({
-        "classical": _verdict_payload(report.classical),
-        "quantum": _verdict_payload(report.quantum),
-        "flip": report.flip,
-    }, args.out)
-    return EXIT_OK
+    tol = _option(args, spec, "tol", DEFAULT_STRICTNESS_TOL)
+    return asdict(compare_classical_quantum(simplified, state, tol=tol))
 
 
-def _parse_start(args, spec):
-    raw = args.start if args.start is not None else spec.get("start")
-    if raw is None:
-        raise CliError("simulate needs a start point: --start X,Y", EXIT_VALIDATION)
-    if isinstance(raw, str):
-        parts = raw.split(",")
-        if len(parts) != 2:
-            raise CliError(f"--start must be X,Y; got {raw!r}", EXIT_VALIDATION)
-        try:
-            return (float(parts[0]), float(parts[1]))
-        except ValueError as exc:
-            raise CliError(f"--start must be numeric: {raw!r}", EXIT_VALIDATION) from exc
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        return (float(raw[0]), float(raw[1]))
-    raise CliError("start must be a pair of numbers", EXIT_VALIDATION)
-
-
-def _integration_options(args, spec):
-    step = float(_option(args, spec, "step", DEFAULT_STEP))
-    max_steps = int(_option(args, spec, "max_steps", DEFAULT_MAX_STEPS))
-    tol = float(_option(args, spec, "tol", DEFAULT_CONVERGENCE_TOL))
-    return step, max_steps, tol
-
-
-def cmd_simulate(args):
-    spec = _load_spec(args.spec)
-    _, simplified = _parse_game(spec)
-    state = _parse_weights(spec, args.renormalize)
+def _simulate(args, spec):
+    fld = _field(args, spec)
     start = _parse_start(args, spec)
-    step, max_steps, tol = _integration_options(args, spec)
-    fld = ReplicatorField.quantum(simplified, state)
-    traj = integrate(fld, start, step=step, max_steps=max_steps, convergence_tol=tol)
-    rows = list(zip(traj.times, traj.xs, traj.ys))
-    text = _csv_text(("t", "x", "y"), rows)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_file(args.out, text)
-    sys.stderr.write(f"status: {traj.status} after {len(traj) - 1} steps\n")
-    return EXIT_OK
+    return integrate(fld, start, **_integration_options(args, spec))
 
 
-def cmd_portrait(args):
-    spec = _load_spec(args.spec)
+def _portrait(args, spec):
+    fld = _field(args, spec)
+    grid_n = _option(args, spec, "grid", 5, _integer)
+    trajectories = phase_portrait(fld, grid_n, **_integration_options(args, spec))
+    return [(tid, t, x, y) for tid, traj in enumerate(trajectories)
+            for t, x, y in zip(traj.times, traj.xs, traj.ys)]
+
+
+def _scan(args, spec):
     _, simplified = _parse_game(spec)
-    state = _parse_weights(spec, args.renormalize)
-    grid_n = int(_option(args, spec, "grid", 5))
-    step, max_steps, tol = _integration_options(args, spec)
-    fld = ReplicatorField.quantum(simplified, state)
-    trajectories = phase_portrait(fld, grid_n, step=step, max_steps=max_steps,
-                                  convergence_tol=tol)
-    rows = []
-    for tid, traj in enumerate(trajectories):
-        rows.extend((tid, t, x, y) for t, x, y in zip(traj.times, traj.xs, traj.ys))
-    text = _csv_text(("id", "t", "x", "y"), rows)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_file(args.out, text)
-    return EXIT_OK
+    hits = scan_flip(simplified, _option(args, spec, "resolution", 10, _integer))
+    return [(s.w11, s.w12, s.w21, s.w22, flip) for s, flip in hits]
 
 
-def cmd_scan(args):
-    spec = _load_spec(args.spec)
-    _, simplified = _parse_game(spec)
-    resolution = int(_option(args, spec, "resolution", 10))
-    try:
-        hits = scan_flip(simplified, resolution)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from exc
-    rows = [(s.w11, s.w12, s.w21, s.w22, flip) for s, flip in hits]
-    text = _csv_text(("w11", "w12", "w21", "w22", "flip"), rows)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_file(args.out, text)
-    return EXIT_OK
-
-
-def cmd_demo(args):
-    try:
-        instance = make_case(args.case)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from exc
-    report = compare_classical_quantum(instance.game, instance.state)
-    _emit_json({
+def _demo(args, spec):
+    instance = make_case(args.case)
+    return {
         "case": instance.case_label,
-        "game": {"a": instance.game.a, "b": instance.game.b,
-                 "c": instance.game.c, "d": instance.game.d},
-        "weights": {k: getattr(instance.state, k) for k in WEIGHT_KEYS},
-        "checks": [{"name": c.name, "value": c.value, "ok": c.ok}
-                   for c in instance.verification],
-        "comparison": {
-            "classical": _verdict_payload(report.classical),
-            "quantum": _verdict_payload(report.quantum),
-            "flip": report.flip,
-        },
-    }, args.out)
-    return EXIT_OK
+        "game": asdict(instance.game),
+        "weights": asdict(instance.state),
+        "checks": [asdict(c) for c in instance.verification],
+        "comparison": asdict(compare_classical_quantum(instance.game, instance.state)),
+    }
 
 
-def _add_common(parser, weights=True):
-    parser.add_argument("--spec", help="JSON problem spec file")
-    parser.add_argument("--out", help="output file (default: stdout)")
-    parser.add_argument("--tol", type=float, help="tolerance override")
-    if weights:
-        parser.add_argument("--renormalize", action="store_true",
-                            help="rescale weights to sum to 1 instead of rejecting")
+FLAGS = {
+    "case": {"choices": ("a", "b", "c")},
+    "--spec": {"help": "JSON problem spec file"},
+    "--out": {"help": "output file (default: stdout)"},
+    "--tol": {"type": float, "help": "tolerance override"},
+    "--renormalize": {"action": "store_true",
+                      "help": "rescale weights to sum to 1 instead of rejecting"},
+    "--start": {"help": "starting point X,Y"},
+    "--step": {"type": float, "help": "integration step size"},
+    "--max-steps": {"type": int, "help": "step limit"},
+    "--grid": {"type": int, "help": "seeds per axis"},
+    "--resolution": {"type": int, "help": "lattice subdivisions"},
+}
+ANALYSIS_FLAGS = ("--spec", "--out", "--tol", "--renormalize")
+
+
+class Command(NamedTuple):
+    handler: Callable  # (args, spec) -> JSON payload, CSV rows or a Trajectory
+    help: str
+    flags: tuple
+    header: Optional[tuple] = None  # CSV header; None for a JSON report
+
+
+COMMANDS = {
+    "transform": Command(_transform, "quantized payoff matrices and K parameters",
+                         ("--spec", "--out", "--renormalize")),
+    "classify": Command(_classify, "equilibria with Jacobians, eigenvalues, tags",
+                        ANALYSIS_FLAGS),
+    "ess": Command(_ess, "ESS/attractor verdicts and flip descriptor", ANALYSIS_FLAGS),
+    "simulate": Command(_simulate, "integrate one trajectory to CSV",
+                        ANALYSIS_FLAGS + ("--start", "--step", "--max-steps"),
+                        ("t", "x", "y")),
+    "portrait": Command(_portrait, "grid of trajectories to CSV",
+                        ANALYSIS_FLAGS + ("--grid", "--step", "--max-steps"),
+                        ("id", "t", "x", "y")),
+    "scan": Command(_scan, "scan the weight simplex for stability flips",
+                    ("--spec", "--out", "--resolution"),
+                    ("w11", "w12", "w21", "w22", "flip")),
+    "demo": Command(_demo, "one of the verified showcase instances", ("case", "--out")),
+}
 
 
 def build_parser():
@@ -313,57 +284,39 @@ def build_parser():
                     "games: payoff transforms, equilibrium classification, "
                     "evolutionary-stability reports and trajectory data.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("transform", help="quantized payoff matrices and K parameters")
-    _add_common(p)
-    p.set_defaults(func=cmd_transform)
-
-    p = sub.add_parser("classify", help="equilibria with Jacobians, eigenvalues, tags")
-    _add_common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("ess", help="ESS/attractor verdicts and flip descriptor")
-    _add_common(p)
-    p.set_defaults(func=cmd_ess)
-
-    p = sub.add_parser("simulate", help="integrate one trajectory to CSV")
-    _add_common(p)
-    p.add_argument("--start", help="starting point X,Y")
-    p.add_argument("--step", type=float, help="integration step size")
-    p.add_argument("--max-steps", type=int, help="step limit")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("portrait", help="grid of trajectories to CSV")
-    _add_common(p)
-    p.add_argument("--grid", type=int, help="seeds per axis")
-    p.add_argument("--step", type=float, help="integration step size")
-    p.add_argument("--max-steps", type=int, help="step limit")
-    p.set_defaults(func=cmd_portrait)
-
-    p = sub.add_parser("scan", help="scan the weight simplex for stability flips")
-    _add_common(p, weights=False)
-    p.add_argument("--resolution", type=int, help="lattice subdivisions")
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("demo", help="one of the verified showcase instances")
-    p.add_argument("case", choices=("a", "b", "c"))
-    p.add_argument("--out", help="output file (default: stdout)")
-    p.set_defaults(func=cmd_demo)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        return args.func(args)
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return exc.code
+        output = command.handler(args, _load_spec(getattr(args, "spec", None)))
+        status = None
+        if isinstance(output, Trajectory):
+            status = f"status: {output.status} after {len(output) - 1} steps\n"
+            output = list(zip(output.times, output.xs, output.ys))
+        if command.header is None:
+            text = _emit_json(output)
+        else:
+            text = _csv_text(command.header, output)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            _write_file(args.out, text)
+        if status is not None:
+            sys.stderr.write(status)
+        return EXIT_OK
     except ValidationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
+        error, code = exc, EXIT_VALIDATION
+    except IOFailure as exc:
+        error, code = exc, EXIT_IO
+    sys.stderr.write(f"error: {error}\n")
+    return code
 
 
 if __name__ == "__main__":

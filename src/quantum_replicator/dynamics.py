@@ -9,18 +9,14 @@ invariant lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .games import InitialStateWeights, SimplifiedGame, ValidationError, k_params
 
 __all__ = [
     "ReplicatorField",
     "Trajectory",
-    "NPopulationState",
     "field_eval",
-    "replicator_field_n",
     "integrate",
     "phase_portrait",
     "DEFAULT_STEP",
@@ -80,48 +76,12 @@ class ReplicatorField:
     def y_slope(self):
         return -(self.c + self.d) * (self.K1 + self.K2)
 
-    def __call__(self, x, y):
-        return field_eval(self, x, y)
-
 
 def field_eval(fld: ReplicatorField, x: float, y: float):
     """Closed-form velocities (dx/dt, dy/dt); defined everywhere in the plane."""
     xdot = x * (1.0 - x) * (fld.x_constant + fld.x_slope * y)
     ydot = y * (1.0 - y) * (fld.y_constant + fld.y_slope * x)
     return xdot, ydot
-
-
-@dataclass(frozen=True)
-class NPopulationState:
-    """Frequency vector on the simplex together with an n x n payoff matrix."""
-
-    frequencies: tuple
-    payoffs: tuple = field(repr=False, default=())
-
-    def __post_init__(self):
-        x = np.asarray(self.frequencies, dtype=float)
-        A = np.asarray(self.payoffs, dtype=float)
-        if A.shape != (x.size, x.size):
-            raise ValidationError(
-                f"payoff matrix shape {A.shape} does not match {x.size} strategies")
-        if np.any(x < 0.0):
-            raise ValidationError("frequencies must be nonnegative")
-        if abs(float(x.sum()) - 1.0) > 1e-12:
-            raise ValidationError(f"frequencies must sum to 1, got {x.sum()!r}")
-        object.__setattr__(self, "frequencies", tuple(float(v) for v in x))
-        object.__setattr__(self, "payoffs", tuple(tuple(float(v) for v in row) for row in A))
-
-
-def replicator_field_n(state: NPopulationState):
-    """Single-population replicator velocities x_i ((A x)_i - x.A.x).
-
-    The components sum to zero, so the flow stays tangent to the simplex.
-    """
-    x = np.asarray(state.frequencies, dtype=float)
-    A = np.asarray(state.payoffs, dtype=float)
-    fitness = A @ x
-    mean = float(x @ fitness)
-    return x * (fitness - mean)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .games import InitialStateWeights, SimplifiedGame, k_params
+from .games import InitialStateWeights, SimplifiedGame, ValidationError, k_params
 from .stability import corner_roots_10
 
 __all__ = [
@@ -79,7 +79,7 @@ def verdict_10(game: SimplifiedGame, state: InitialStateWeights,
                tol=DEFAULT_STRICTNESS_TOL) -> StabilityVerdict:
     """Attractor and ESS flags at (1, 0), with a marginal flag for near-zero calls."""
     if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+        raise ValidationError(f"tol must be positive, got {tol}")
     k = k_params(state)
     roots = corner_roots_10(game.a, game.b, game.c, game.d, k.K1, k.K2)
     margins = strict_ne_margins_10(game, state)

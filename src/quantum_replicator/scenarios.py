@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dynamics import ReplicatorField
 from .ess import FLIP_NONE, compare_classical_quantum
-from .games import InitialStateWeights, SimplifiedGame, k_params
-from .stability import interior_lambda_sq
+from .games import InitialStateWeights, SimplifiedGame, ValidationError
+from .stability import interior_lambda_sq, interior_point
 
 __all__ = [
     "ScenarioInstance",
@@ -124,14 +125,11 @@ def make_case_c() -> ScenarioInstance:
     """
     game = SimplifiedGame(a=1.0, b=3.0, c=-2.0, d=-1.0)
     state = InitialStateWeights(0.25, 0.60, 0.05, 0.10)
-    k = k_params(state)
+    fld = ReplicatorField.quantum(game, state)
     lam_sq_classical = interior_lambda_sq(game.a, game.b, game.c, game.d, 1.0, 0.0)
-    lam_sq_quantum = interior_lambda_sq(game.a, game.b, game.c, game.d, k.K1, k.K2)
-    x_cl = game.c / (game.c + game.d)
-    y_cl = game.a / (game.a + game.b)
-    ksum = k.K1 + k.K2
-    x_q = (game.c * k.K1 + game.d * k.K2) / ((game.c + game.d) * ksum)
-    y_q = (game.a * k.K1 + game.b * k.K2) / ((game.a + game.b) * ksum)
+    lam_sq_quantum = interior_lambda_sq(game.a, game.b, game.c, game.d, fld.K1, fld.K2)
+    (x_cl, y_cl), _ = interior_point(ReplicatorField.classical(game))
+    (x_q, y_q), _ = interior_point(fld)
     checks = (
         _negative("classical lambda^2 (center)", lam_sq_classical),
         _positive("quantum lambda^2 (saddle)", lam_sq_quantum),
@@ -158,7 +156,7 @@ def scan_flip(game: SimplifiedGame, resolution: int):
     (weights, flip) pairs whose classical-vs-quantum comparison flips.
     """
     if resolution < 1:
-        raise ValueError(f"resolution must be a positive integer, got {resolution}")
+        raise ValidationError(f"resolution must be a positive integer, got {resolution}")
     hits = []
     r = resolution
     for k11 in range(r + 1):

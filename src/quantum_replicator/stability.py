@@ -5,9 +5,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
 
-from .dynamics import ReplicatorField, field_eval
+from .dynamics import ReplicatorField
+from .games import ValidationError
 
 __all__ = [
     "Equilibrium",
@@ -51,7 +51,6 @@ class Equilibrium:
     y: float
     kind: str  # "corner" | "interior"
     inside_unit_square: bool
-    degenerate_reason: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,7 @@ def classify(eigs, zero_tol=DEFAULT_ZERO_TOL):
     guessed; linearization cannot decide those cases.
     """
     if zero_tol <= 0.0:
-        raise ValueError(f"zero_tol must be positive, got {zero_tol}")
+        raise ValidationError(f"zero_tol must be positive, got {zero_tol}")
     l1, l2 = complex(eigs[0]), complex(eigs[1])
     real_pair = abs(l1.imag) <= zero_tol and abs(l2.imag) <= zero_tol
     if real_pair:
@@ -187,8 +186,6 @@ def linearize(fld: ReplicatorField, zero_tol=DEFAULT_ZERO_TOL):
     """Full report: every equilibrium with Jacobian, eigenvalues and tag."""
     reports = []
     for eq in equilibria(fld):
-        if eq.degenerate_reason is not None:
-            continue
         jac = jacobian(fld, (eq.x, eq.y))
         eigs = eigenvalues(jac)
         reports.append(LinearizationReport(eq, jac, eigs, classify(eigs, zero_tol)))

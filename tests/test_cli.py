@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantum_replicator.cli import main
 
@@ -175,3 +178,79 @@ class TestDemo:
         _, out1, _ = run(capsys, "demo", "b")
         _, out2, _ = run(capsys, "demo", "b")
         assert out1 == out2
+
+
+GAME = CASE_A_SPEC["game"]
+WEIGHTS = CASE_A_SPEC["weights"]
+
+
+class TestMalformedSpec:
+    @pytest.mark.parametrize("command,spec", [
+        ("classify", {"game": {**GAME, "a": None}, "weights": WEIGHTS}),
+        ("classify", [1, 2]),
+        ("classify", {"game": 5, "weights": WEIGHTS}),
+        ("classify", {**CASE_A_SPEC, "options": 5}),
+        ("portrait", {**CASE_A_SPEC, "options": {"grid": "x"}}),
+        ("simulate", {**CASE_A_SPEC, "start": ["a", "b"]}),
+        ("transform", {"game": GAME,
+                       "weights": {"w11": None, "w12": 0.4, "w21": 0.1, "w22": 0.2}}),
+        ("classify --tol 0", CASE_A_SPEC),
+        ("ess --tol -1", CASE_A_SPEC),
+        ("transform", {"game": {**GAME, "a": "1"}, "weights": WEIGHTS}),
+        ("ess", {"game": {**GAME, "b": True}, "weights": WEIGHTS}),
+        ("scan", {"game": GAME, "options": {"resolution": 2.5}}),
+        ("simulate --start 0.9,0.1", {**CASE_A_SPEC, "options": {"max_steps": 1.5}}),
+        ("ess", {**CASE_A_SPEC, "options": {"tol": "1e-6"}}),
+    ])
+    def test_exits_2_with_one_error_line(self, spec_file, capsys, command, spec):
+        code, out, err = run(capsys, *command.split(), "--spec", spec_file(spec))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("data", [b"{", b"[" * 100_000, b"\xff"])
+    def test_unparsable_file_exits_2(self, tmp_path, capsys, data):
+        path = tmp_path / "spec.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "ess", "--spec", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: spec file") and err.count("\n") == 1
+
+
+LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+JSON_VALUES = st.recursive(
+    LEAVES, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4), max_leaves=8)
+FIELDS = st.integers(-3, 3) | st.floats() | JSON_VALUES
+GAMES = (st.fixed_dictionaries({k: FIELDS for k in "abcd"})
+         | st.fixed_dictionaries({k: FIELDS for k in ("a11", "a12", "a21", "a22",
+                                                      "b11", "b12", "b21", "b22")})
+         | JSON_VALUES)
+WEIGHT_VALUES = (st.lists(FIELDS, min_size=4, max_size=4)
+                 | st.fixed_dictionaries({k: FIELDS for k in ("w11", "w12", "w21", "w22")})
+                 | JSON_VALUES)
+SPECS = (st.fixed_dictionaries({}, optional={
+    "game": GAMES, "weights": WEIGHT_VALUES,
+    "options": st.fixed_dictionaries({}, optional={"tol": FIELDS}) | JSON_VALUES})
+    | JSON_VALUES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(["transform", "classify", "ess"]), spec=SPECS,
+       renormalize=st.booleans(), tol=st.none() | st.floats())
+def test_arbitrary_spec_keeps_exit_contract(tmp_path_factory, command, spec,
+                                            renormalize, tol):
+    path = tmp_path_factory.getbasetemp() / "fuzz-spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    argv = [command, "--spec", str(path)]
+    if renormalize:
+        argv.append("--renormalize")
+    if tol is not None and command != "transform":
+        argv.append(f"--tol={tol!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

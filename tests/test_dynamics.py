@@ -1,12 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from quantum_replicator import (
     InitialStateWeights,
-    NPopulationState,
     ReplicatorField,
     SimplifiedGame,
     ValidationError,
@@ -14,7 +12,6 @@ from quantum_replicator import (
     integrate,
     phase_portrait,
     quantum_transform,
-    replicator_field_n,
 )
 
 from conftest import make_weights
@@ -74,38 +71,6 @@ class TestFieldEval:
             got = field_eval(fld, x, y)
             assert got[0] == pytest.approx(expected[0], abs=1e-12)
             assert got[1] == pytest.approx(expected[1], abs=1e-12)
-
-
-class TestNPopulation:
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            NPopulationState((0.5, 0.5), ((1.0,),))
-
-    def test_uniform_on_constant_matrix(self):
-        state = NPopulationState((1 / 3, 1 / 3, 1 / 3), ((2, 2, 2),) * 3)
-        assert np.allclose(replicator_field_n(state), 0.0, atol=1e-15)
-
-    def test_vertices_are_rest_points(self):
-        A = ((0, 3, -1), (2, 0, 1), (1, -2, 0))
-        for i in range(3):
-            x = [0.0, 0.0, 0.0]
-            x[i] = 1.0
-            assert np.allclose(replicator_field_n(NPopulationState(tuple(x), A)), 0.0)
-
-    def test_two_strategy_example(self):
-        state = NPopulationState((0.5, 0.5), ((0, 1), (2, 0)))
-        v = replicator_field_n(state)
-        assert v[0] == pytest.approx(-0.125, abs=1e-15)
-        assert v[1] == pytest.approx(0.125, abs=1e-15)
-
-    def test_tangency(self, rng):
-        for _ in range(100):
-            n = rng.randint(2, 6)
-            raw = [rng.random() + 1e-3 for _ in range(n)]
-            x = tuple(v / sum(raw) for v in raw)
-            x = x[:-1] + (1.0 - sum(x[:-1]),)
-            A = tuple(tuple(rng.uniform(-3, 3) for _ in range(n)) for _ in range(n))
-            assert abs(float(np.sum(replicator_field_n(NPopulationState(x, A))))) < 1e-12
 
 
 class TestIntegrate:

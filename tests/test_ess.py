@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from quantum_replicator import (
     InitialStateWeights,
     SimplifiedGame,
+    ValidationError,
     compare_classical_quantum,
     corner_roots_10,
     k_params,
@@ -67,7 +68,7 @@ class TestVerdict:
         assert not v.is_attractor
 
     def test_tol_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             verdict_10(CASE_A, CASE_A_STATE, tol=-1)
 
     def test_classical_specialization(self, rng):

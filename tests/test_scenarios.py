@@ -4,6 +4,7 @@ import pytest
 
 from quantum_replicator import (
     SimplifiedGame,
+    ValidationError,
     compare_classical_quantum,
     make_case,
     make_case_a,
@@ -104,5 +105,5 @@ class TestScan:
             assert compare_classical_quantum(game, state).flip == flip
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             scan_flip(SimplifiedGame(1, -1, -1, 1), 0)

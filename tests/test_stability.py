@@ -5,6 +5,7 @@ import pytest
 from quantum_replicator import (
     DegenerateInteriorError,
     ReplicatorField,
+    ValidationError,
     classify,
     corner_roots_10,
     eigenvalues,
@@ -155,7 +156,7 @@ class TestClassify:
         assert classify(eigs) == tag
 
     def test_tol_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             classify((1.0, 1.0), zero_tol=0.0)
 
 
