@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from itertools import chain, islice, repeat
 from typing import Callable, NamedTuple, Optional
 
 from .dynamics import (DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS, DEFAULT_STEP,
@@ -30,6 +31,8 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
+# CSV rows formatted and written at a time, so a large CSV is never held whole.
+CSV_CHUNK_ROWS = 4096
 
 SIMPLIFIED_KEYS = ("a", "b", "c", "d")
 BIMATRIX_KEYS = ("a11", "a12", "a21", "a22", "b11", "b12", "b21", "b22")
@@ -148,19 +151,27 @@ def _emit_json(payload):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write_file(path, text):
+def _write_file(path, pieces):
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise IOFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _csv_text(header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row))
+def _csv_chunks(header, rows):
+    """The CSV text in pieces of at most CSV_CHUNK_ROWS lines, header first."""
+    # str of a float is its shortest round-trip repr, so one %s per column
+    # covers the float, int and str cells alike.
+    formatted = map(",".join(["%s"] * len(header)).__mod__, rows)
+    lines = [",".join(header), *islice(formatted, CSV_CHUNK_ROWS - 1)]
+    while lines:
+        yield _csv_piece(lines)
+        lines = list(islice(formatted, CSV_CHUNK_ROWS))
+
+
+def _csv_piece(lines):
+    # perfbench/test_perfbench.py corrupts this line to check its output gate.
     return "\n".join(lines) + "\n"
 
 
@@ -214,8 +225,9 @@ def _portrait(args, spec):
     fld = _field(args, spec)
     grid_n = _option(args, spec, "grid", 5, _integer)
     trajectories = phase_portrait(fld, grid_n, **_integration_options(args, spec))
-    return [(tid, t, x, y) for tid, traj in enumerate(trajectories)
-            for t, x, y in zip(traj.times, traj.xs, traj.ys)]
+    return chain.from_iterable(
+        zip(repeat(tid), traj.times, traj.xs, traj.ys)
+        for tid, traj in enumerate(trajectories))
 
 
 def _scan(args, spec):
@@ -299,15 +311,15 @@ def main(argv=None):
         status = None
         if isinstance(output, Trajectory):
             status = f"status: {output.status} after {len(output) - 1} steps\n"
-            output = list(zip(output.times, output.xs, output.ys))
+            output = zip(output.times, output.xs, output.ys)
         if command.header is None:
-            text = _emit_json(output)
+            pieces = [_emit_json(output)]
         else:
-            text = _csv_text(command.header, output)
+            pieces = _csv_chunks(command.header, output)
         if args.out is None:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
         else:
-            _write_file(args.out, text)
+            _write_file(args.out, pieces)
         if status is not None:
             sys.stderr.write(status)
         return EXIT_OK

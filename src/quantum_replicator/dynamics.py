@@ -101,24 +101,6 @@ class Trajectory:
         return (self.xs[-1], self.ys[-1])
 
 
-def _rk4_step(fld, x, y, h):
-    k1x, k1y = field_eval(fld, x, y)
-    k2x, k2y = field_eval(fld, x + 0.5 * h * k1x, y + 0.5 * h * k1y)
-    k3x, k3y = field_eval(fld, x + 0.5 * h * k2x, y + 0.5 * h * k2y)
-    k4x, k4y = field_eval(fld, x + h * k3x, y + h * k3y)
-    return (x + h * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0,
-            y + h * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0)
-
-
-def _clamp(v):
-    # Pull integration noise back onto the faces; genuine excursions are kept.
-    if -CLAMP_GUARD < v < 0.0:
-        return 0.0
-    if 1.0 < v < 1.0 + CLAMP_GUARD:
-        return 1.0
-    return v
-
-
 def integrate(fld: ReplicatorField, start, step=DEFAULT_STEP,
               max_steps=DEFAULT_MAX_STEPS,
               convergence_tol=DEFAULT_CONVERGENCE_TOL) -> Trajectory:
@@ -127,7 +109,8 @@ def integrate(fld: ReplicatorField, start, step=DEFAULT_STEP,
     Stops early once the sup-norm of the velocity drops below
     ``convergence_tol`` (status "converged") or the state leaves the widened
     square [-0.1, 1.1]^2 (status "left-domain"); otherwise runs ``max_steps``
-    steps (status "max-steps").
+    steps (status "max-steps").  After each step a coordinate within
+    ``CLAMP_GUARD`` outside [0, 1] is pulled back onto the face.
     """
     if step <= 0.0:
         raise ValidationError(f"step must be positive, got {step}")
@@ -137,27 +120,51 @@ def integrate(fld: ReplicatorField, start, step=DEFAULT_STEP,
     if x != x or y != y or abs(x) == float("inf") or abs(y) == float("inf"):
         raise ValidationError(f"start must be finite, got {start!r}")
 
-    times = [0.0]
+    # The field is x(1-x)(p + q y), y(1-y)(r + s x), evaluated inline below in
+    # the same floating-point order as field_eval.  The velocity of the stop
+    # test is the k1 of the next step.
+    p, q, r, s = fld.x_constant, fld.x_slope, fld.y_constant, fld.y_slope
+    h, hh = step, 0.5 * step
+    lo, hi = -DOMAIN_MARGIN, 1.0 + DOMAIN_MARGIN
+    near0, near1 = -CLAMP_GUARD, 1.0 + CLAMP_GUARD
     xs = [x]
     ys = [y]
     status = "max-steps"
     for n in range(max_steps + 1):
-        vx, vy = field_eval(fld, x, y)
-        if max(abs(vx), abs(vy)) < convergence_tol:
+        k1x = x * (1.0 - x) * (p + q * y)
+        k1y = y * (1.0 - y) * (r + s * x)
+        if max(abs(k1x), abs(k1y)) < convergence_tol:
             status = "converged"
             break
-        if not (-DOMAIN_MARGIN <= x <= 1.0 + DOMAIN_MARGIN
-                and -DOMAIN_MARGIN <= y <= 1.0 + DOMAIN_MARGIN):
+        if not (lo <= x <= hi and lo <= y <= hi):
             status = "left-domain"
             break
         if n == max_steps:
             break
-        x, y = _rk4_step(fld, x, y, step)
-        x, y = _clamp(x), _clamp(y)
-        times.append((n + 1) * step)
+        u, v = x + hh * k1x, y + hh * k1y
+        k2x = u * (1.0 - u) * (p + q * v)
+        k2y = v * (1.0 - v) * (r + s * u)
+        u, v = x + hh * k2x, y + hh * k2y
+        k3x = u * (1.0 - u) * (p + q * v)
+        k3y = v * (1.0 - v) * (r + s * u)
+        u, v = x + h * k3x, y + h * k3y
+        k4x = u * (1.0 - u) * (p + q * v)
+        k4y = v * (1.0 - v) * (r + s * u)
+        x = x + h * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
+        y = y + h * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
+        # Pull integration noise back onto the faces; genuine excursions are kept.
+        if near0 < x < 0.0:
+            x = 0.0
+        elif 1.0 < x < near1:
+            x = 1.0
+        if near0 < y < 0.0:
+            y = 0.0
+        elif 1.0 < y < near1:
+            y = 1.0
         xs.append(x)
         ys.append(y)
-    return Trajectory(tuple(times), tuple(xs), tuple(ys), status)
+    times = (0.0, *[i * step for i in range(1, len(xs))])
+    return Trajectory(times, tuple(xs), tuple(ys), status)
 
 
 def phase_portrait(fld: ReplicatorField, grid_n: int, step=DEFAULT_STEP,

@@ -33,7 +33,13 @@ class ValidationError(ValueError):
 
 
 def _require_finite(name, value):
-    v = float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} must be a finite real, got an integer "
+                              "too large for a float") from None
     if v != v or v in (float("inf"), float("-inf")):
         raise ValidationError(f"{name} must be a finite real, got {value!r}")
     return v

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynamics import ReplicatorField
-from .ess import FLIP_NONE, compare_classical_quantum
+from .ess import FLIP_NONE, _flip, compare_classical_quantum, verdict_10
 from .games import InitialStateWeights, SimplifiedGame, ValidationError
 from .stability import interior_lambda_sq, interior_point
 
@@ -155,8 +155,9 @@ def scan_flip(game: SimplifiedGame, resolution: int):
     parts summing to ``resolution``, in lexicographic order, and returns the
     (weights, flip) pairs whose classical-vs-quantum comparison flips.
     """
-    if resolution < 1:
-        raise ValidationError(f"resolution must be a positive integer, got {resolution}")
+    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
+        raise ValidationError(f"resolution must be a positive integer, got {resolution!r}")
+    classical = verdict_10(game, InitialStateWeights.classical())
     hits = []
     r = resolution
     for k11 in range(r + 1):
@@ -164,7 +165,7 @@ def scan_flip(game: SimplifiedGame, resolution: int):
             for k21 in range(r + 1 - k11 - k12):
                 k22 = r - k11 - k12 - k21
                 state = InitialStateWeights(k11 / r, k12 / r, k21 / r, k22 / r)
-                flip = compare_classical_quantum(game, state).flip
+                flip = _flip(classical, verdict_10(game, state))
                 if flip != FLIP_NONE:
                     hits.append((state, flip))
     return hits

@@ -1,11 +1,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantum_replicator.cli import main
+import quantum_replicator
+from quantum_replicator.cli import CSV_CHUNK_ROWS, main
+from quantum_replicator.dynamics import ReplicatorField, phase_portrait
+from quantum_replicator.games import InitialStateWeights, SimplifiedGame
 
 CASE_A_SPEC = {"game": {"a": 1, "b": -1, "c": -1, "d": 1},
                "weights": [0.3, 0.4, 0.1, 0.2]}
@@ -138,6 +145,23 @@ class TestPortrait:
         ids = {line.split(",")[0] for line in lines[1:]}
         assert ids == {"0", "1", "2", "3"}
 
+    def test_csv_spanning_several_pieces(self, spec_file, tmp_path, capsys):
+        # 9 orbits x 1001 samples: more rows than CSV_CHUNK_ROWS, twice over.
+        spec = spec_file(CASE_C_SPEC)
+        out_path = tmp_path / "portrait.csv"
+        argv = ["portrait", "--spec", spec, "--grid", "3", "--max-steps", "1000"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--out", str(out_path))[0] == 0
+        assert out_path.read_text() == out
+        fld = ReplicatorField.quantum(SimplifiedGame(1, 3, -2, -1),
+                                      InitialStateWeights(0.25, 0.60, 0.05, 0.10))
+        rows = [f"{tid},{t!r},{x!r},{y!r}"
+                for tid, traj in enumerate(phase_portrait(fld, 3, max_steps=1000))
+                for t, x, y in zip(traj.times, traj.xs, traj.ys)]
+        assert len(rows) > 2 * CSV_CHUNK_ROWS
+        assert out == "\n".join(["id,t,x,y", *rows]) + "\n"
+
 
 class TestScan:
     def test_header_and_vertex_absent(self, spec_file, capsys):
@@ -182,6 +206,30 @@ class TestDemo:
 
 GAME = CASE_A_SPEC["game"]
 WEIGHTS = CASE_A_SPEC["weights"]
+
+
+class TestInProcessCalls:
+    @pytest.mark.parametrize("argv", [
+        ["portrait", "--grid", "2", "--max-steps", "30"],
+        ["ess"],
+        ["simulate", "--start", "0.9,0.1", "--max-steps", "40"],
+    ])
+    def test_call_after_argparse_rejection_matches_fresh_process(
+            self, spec_file, capsys, argv):
+        argv = argv + ["--spec", spec_file(CASE_A_SPEC)]
+        for rejected in (["classify", "--bogus"], ["portrait", "--grid", "x"], []):
+            with pytest.raises(SystemExit):
+                main(rejected)
+        capsys.readouterr()
+        code, out, err = run(capsys, *argv)
+        src = str(Path(quantum_replicator.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        fresh = subprocess.run([sys.executable, "-m", "quantum_replicator.cli", *argv],
+                               capture_output=True, env=env, check=False)
+        assert (code, out.encode(), err.encode()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == 0 and out
 
 
 class TestMalformedSpec:

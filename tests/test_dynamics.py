@@ -13,6 +13,7 @@ from quantum_replicator import (
     phase_portrait,
     quantum_transform,
 )
+from quantum_replicator.dynamics import DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS
 
 from conftest import make_weights
 
@@ -22,6 +23,48 @@ payoffs = st.floats(min_value=-5, max_value=5, allow_nan=False)
 ks = st.floats(min_value=-1, max_value=1, allow_nan=False)
 fields = st.builds(ReplicatorField, payoffs, payoffs, payoffs, payoffs, ks, ks)
 coords = st.floats(min_value=-0.5, max_value=1.5, allow_nan=False)
+
+
+def textbook_integrate(fld, start, h, max_steps, convergence_tol):
+    """Classical RK4 built on field_eval, with the face clamp of integrate.
+
+    Mirrors the documented stop rules so integrate can be compared bit for bit.
+    """
+
+    def clamp(v):
+        if -1e-9 < v < 0.0:
+            return 0.0
+        if 1.0 < v < 1.0 + 1e-9:
+            return 1.0
+        return v
+
+    x, y = float(start[0]), float(start[1])
+    times, xs, ys = [0.0], [x], [y]
+    for n in range(max_steps + 1):
+        vx, vy = field_eval(fld, x, y)
+        if max(abs(vx), abs(vy)) < convergence_tol:
+            return times, xs, ys, "converged"
+        if not (-0.1 <= x <= 1.1 and -0.1 <= y <= 1.1):
+            return times, xs, ys, "left-domain"
+        if n == max_steps:
+            break
+        k1x, k1y = field_eval(fld, x, y)
+        k2x, k2y = field_eval(fld, x + 0.5 * h * k1x, y + 0.5 * h * k1y)
+        k3x, k3y = field_eval(fld, x + 0.5 * h * k2x, y + 0.5 * h * k2y)
+        k4x, k4y = field_eval(fld, x + h * k3x, y + h * k3y)
+        x = clamp(x + h * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0)
+        y = clamp(y + h * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0)
+        times.append((n + 1) * h)
+        xs.append(x)
+        ys.append(y)
+    return times, xs, ys, "max-steps"
+
+
+def first_integral(fld, x, y):
+    """H = r ln x - (r+s) ln(1-x) - p ln y + (p+q) ln(1-y), constant on orbits."""
+    p, q, r, s = fld.x_constant, fld.x_slope, fld.y_constant, fld.y_slope
+    return (r * math.log(x) - (r + s) * math.log(1.0 - x)
+            - p * math.log(y) + (p + q) * math.log(1.0 - y))
 
 
 def classical_bimatrix_field(game, x, y):
@@ -127,6 +170,41 @@ class TestIntegrate:
         e1 = math.dist(endpoint(0.2), ref)
         e2 = math.dist(endpoint(0.1), ref)
         assert 10.0 < e1 / e2 < 25.0
+
+
+class TestIntegrateBitExact:
+    @pytest.mark.parametrize("fld,start,max_steps,status", [
+        (CASE_A_QUANTUM, (0.9, 0.1), DEFAULT_MAX_STEPS, "converged"),
+        (ReplicatorField(-1, 0, 1, 1, 1.0, 0.0), (1.05, 0.5), 1000, "left-domain"),
+        (ReplicatorField(1, 3, -2, -1, 1.0, 0.0), (0.5, 0.5), 2000, "max-steps"),
+        (ReplicatorField(1, 3, -2, -1, 1.0, 0.0), (-1e-10, 0.4), 50, "max-steps"),
+        (ReplicatorField(1, 3, -2, -1, 1.0, 0.0), (0.4, 1.0 + 1e-10), 50, "max-steps"),
+    ], ids=["converged", "left-domain", "max-steps", "clamp-x-to-0", "clamp-y-to-1"])
+    def test_matches_textbook_rk4(self, fld, start, max_steps, status):
+        traj = integrate(fld, start, step=0.01, max_steps=max_steps)
+        times, xs, ys, expected_status = textbook_integrate(
+            fld, start, 0.01, max_steps, DEFAULT_CONVERGENCE_TOL)
+        assert traj.status == expected_status == status
+        assert len(traj) > 2
+        assert traj.times == tuple(times)
+        assert traj.xs == tuple(xs)
+        assert traj.ys == tuple(ys)
+
+    def test_clamp_cases_land_on_faces(self):
+        fld = ReplicatorField(1, 3, -2, -1, 1.0, 0.0)
+        assert integrate(fld, (-1e-10, 0.4), max_steps=5).xs[1:] == (0.0,) * 5
+        assert integrate(fld, (0.4, 1.0 + 1e-10), max_steps=5).ys[1:] == (1.0,) * 5
+
+    def test_first_integral_drift_on_classical_center(self):
+        # case c classically: (a, b, c, d) = (1, 3, -2, -1) has a linear
+        # center at (2/3, 1/4); H is conserved along the exact flow.
+        fld = ReplicatorField(1, 3, -2, -1, 1.0, 0.0)
+        traj = integrate(fld, (0.5, 0.5), step=0.01, max_steps=20_000)
+        assert traj.status == "max-steps" and len(traj) == 20_001
+        h0 = first_integral(fld, 0.5, 0.5)
+        drift = max(abs(first_integral(fld, x, y) - h0)
+                    for x, y in zip(traj.xs, traj.ys))
+        assert drift < 1e-6
 
 
 class TestPortrait:

@@ -41,6 +41,26 @@ class TestValidation:
         with pytest.raises(ValidationError):
             SimplifiedGame(float("nan"), 0, 0, 0)
 
+    def test_non_number_payoffs_rejected(self):
+        with pytest.raises(ValidationError, match="must be a real number"):
+            SimplifiedGame('1', True, 1, 1)
+        with pytest.raises(ValidationError, match="must be a real number"):
+            SimplifiedGame(1, True, 1, 1)
+        with pytest.raises(ValidationError):
+            InitialStateWeights.renormalized("3", 4, 1, 2)
+
+    def test_int_too_large_for_a_float_rejected(self):
+        with pytest.raises(ValidationError, match="too large"):
+            SimplifiedGame(10**400, 1, 1, 1)
+
+    def test_int_and_float_subclasses_accepted(self):
+        class Payoff(float):
+            pass
+
+        game = SimplifiedGame(Payoff(1.5), 2, -1, 0)
+        assert (game.a, game.b) == (1.5, 2.0)
+        assert type(game.a) is float and type(game.b) is float
+
     def test_probability_out_of_range(self):
         pair = quantum_transform(SimplifiedGame(1, 2, 3, 4).to_bimatrix(),
                                  InitialStateWeights.classical())

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from quantum_replicator import (
+    InitialStateWeights,
     SimplifiedGame,
     ValidationError,
     compare_classical_quantum,
@@ -107,3 +108,26 @@ class TestScan:
     def test_validation(self):
         with pytest.raises(ValidationError):
             scan_flip(SimplifiedGame(1, -1, -1, 1), 0)
+
+    @pytest.mark.parametrize("resolution", [2.5, 3.0, True, "3"])
+    def test_non_integer_resolution_rejected(self, resolution):
+        with pytest.raises(ValidationError, match="positive integer"):
+            scan_flip(SimplifiedGame(1, -1, -1, 1), resolution)
+
+    @pytest.mark.parametrize("game", [SimplifiedGame(1, -1, -1, 1),
+                                      SimplifiedGame(1, -1, 1, 2),
+                                      SimplifiedGame(1, 3, -2, -1)])
+    def test_matches_full_comparison_per_point(self, game):
+        # scan_flip computes the classical verdict once; comparing every
+        # lattice point in full must give the same hits in the same order.
+        r = 7
+        expected = []
+        for k11 in range(r + 1):
+            for k12 in range(r + 1 - k11):
+                for k21 in range(r + 1 - k11 - k12):
+                    state = InitialStateWeights(k11 / r, k12 / r, k21 / r,
+                                                (r - k11 - k12 - k21) / r)
+                    flip = compare_classical_quantum(game, state).flip
+                    if flip != "none":
+                        expected.append((state, flip))
+        assert scan_flip(game, r) == expected
