@@ -232,8 +232,12 @@ def _portrait(args, spec):
 
 def _scan(args, spec):
     _, simplified = _parse_game(spec)
-    hits = scan_flip(simplified, _option(args, spec, "resolution", 10, _integer))
-    return [(s.w11, s.w12, s.w21, s.w22, flip) for s, flip in hits]
+    r = _option(args, spec, "resolution", 10, _integer)
+    hits = scan_flip(simplified, r)
+    # Every weight is some k / r: format each of them once, not once per cell.
+    cell = {k / r: str(k / r) for k in range(r + 1)}
+    return [(cell[s.w11], cell[s.w12], cell[s.w21], cell[s.w22], flip)
+            for s, flip in hits]
 
 
 def _demo(args, spec):

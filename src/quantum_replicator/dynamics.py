@@ -9,9 +9,11 @@ invariant lines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .games import InitialStateWeights, SimplifiedGame, ValidationError, k_params
+from .games import (InitialStateWeights, SimplifiedGame, ValidationError,
+                    _require_tolerance, k_params)
 
 __all__ = [
     "ReplicatorField",
@@ -112,10 +114,11 @@ def integrate(fld: ReplicatorField, start, step=DEFAULT_STEP,
     steps (status "max-steps").  After each step a coordinate within
     ``CLAMP_GUARD`` outside [0, 1] is pulled back onto the face.
     """
-    if step <= 0.0:
-        raise ValidationError(f"step must be positive, got {step}")
+    _require_tolerance("step", step)
     if max_steps <= 0:
         raise ValidationError(f"max_steps must be positive, got {max_steps}")
+    if not -math.inf < convergence_tol < math.inf:
+        raise ValidationError(f"convergence_tol must be finite, got {convergence_tol}")
     x, y = float(start[0]), float(start[1])
     if x != x or y != y or abs(x) == float("inf") or abs(y) == float("inf"):
         raise ValidationError(f"start must be finite, got {start!r}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .games import InitialStateWeights, SimplifiedGame, ValidationError, k_params
+from .games import InitialStateWeights, SimplifiedGame, _require_tolerance, k_params
 from .stability import corner_roots_10
 
 __all__ = [
@@ -78,8 +78,7 @@ def strict_ne_margins_10(game: SimplifiedGame, state: InitialStateWeights) -> Es
 def verdict_10(game: SimplifiedGame, state: InitialStateWeights,
                tol=DEFAULT_STRICTNESS_TOL) -> StabilityVerdict:
     """Attractor and ESS flags at (1, 0), with a marginal flag for near-zero calls."""
-    if tol <= 0.0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    _require_tolerance("tol", tol)
     k = k_params(state)
     roots = corner_roots_10(game.a, game.b, game.c, game.d, k.K1, k.K2)
     margins = strict_ne_margins_10(game, state)
@@ -91,15 +90,15 @@ def verdict_10(game: SimplifiedGame, state: InitialStateWeights,
                             marginal=marginal, roots=roots, margins=margins)
 
 
-def _flip(classical: StabilityVerdict, quantum: StabilityVerdict) -> str:
+def _flip(classical_ess, classical_attractor, quantum_ess, quantum_attractor) -> str:
     # An ESS change outranks an attractor change when both occur.
-    if quantum.is_ess and not classical.is_ess:
+    if quantum_ess and not classical_ess:
         return FLIP_GAINED_ESS
-    if classical.is_ess and not quantum.is_ess:
+    if classical_ess and not quantum_ess:
         return FLIP_LOST_ESS
-    if quantum.is_attractor and not classical.is_attractor:
+    if quantum_attractor and not classical_attractor:
         return FLIP_GAINED_ATTRACTOR
-    if classical.is_attractor and not quantum.is_attractor:
+    if classical_attractor and not quantum_attractor:
         return FLIP_LOST_ATTRACTOR
     return FLIP_NONE
 
@@ -109,5 +108,6 @@ def compare_classical_quantum(game: SimplifiedGame, state: InitialStateWeights,
     """Verdicts for the classical state and the given state, plus what flipped."""
     classical = verdict_10(game, InitialStateWeights.classical(), tol=tol)
     quantum = verdict_10(game, state, tol=tol)
-    return ComparisonReport(classical=classical, quantum=quantum,
-                            flip=_flip(classical, quantum))
+    flip = _flip(classical.is_ess, classical.is_attractor,
+                 quantum.is_ess, quantum.is_attractor)
+    return ComparisonReport(classical=classical, quantum=quantum, flip=flip)

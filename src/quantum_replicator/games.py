@@ -9,6 +9,7 @@ any formula here, so that is all we store.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -33,16 +34,26 @@ class ValidationError(ValueError):
 
 
 def _require_finite(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
-    try:
-        v = float(value)
-    except OverflowError:
-        raise ValidationError(f"{name} must be a finite real, got an integer "
-                              "too large for a float") from None
-    if v != v or v in (float("inf"), float("-inf")):
+    v = value
+    if type(v) is not float:  # a plain float needs neither the type check nor float()
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
+        try:
+            v = float(v)
+        except OverflowError:
+            raise ValidationError(f"{name} must be a finite real, got an integer "
+                                  "too large for a float") from None
+    if not math.isfinite(v):
         raise ValidationError(f"{name} must be a finite real, got {value!r}")
     return v
+
+
+def _require_tolerance(name, value):
+    """Reject a tolerance or step size that is not a positive finite number."""
+    if value <= 0.0:
+        raise ValidationError(f"{name} must be positive, got {value}")
+    if not value < math.inf:  # NaN fails every comparison
+        raise ValidationError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

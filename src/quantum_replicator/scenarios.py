@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynamics import ReplicatorField
-from .ess import FLIP_NONE, _flip, compare_classical_quantum, verdict_10
+from .ess import DEFAULT_STRICTNESS_TOL, _flip, compare_classical_quantum, verdict_10
 from .games import InitialStateWeights, SimplifiedGame, ValidationError
 from .stability import interior_lambda_sq, interior_point
 
@@ -158,14 +158,28 @@ def scan_flip(game: SimplifiedGame, resolution: int):
     if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
         raise ValidationError(f"resolution must be a positive integer, got {resolution!r}")
     classical = verdict_10(game, InitialStateWeights.classical())
-    hits = []
+    classical_ess, classical_attractor = classical.is_ess, classical.is_attractor
+    a, b, c, d = game.a, game.b, game.c, game.d
+    tol = DEFAULT_STRICTNESS_TOL
     r = resolution
+    w = [k / r for k in range(r + 1)]
+    hits = []
     for k11 in range(r + 1):
+        w11 = w[k11]
         for k12 in range(r + 1 - k11):
-            for k21 in range(r + 1 - k11 - k12):
-                k22 = r - k11 - k12 - k21
-                state = InitialStateWeights(k11 / r, k12 / r, k21 / r, k22 / r)
-                flip = _flip(classical, verdict_10(game, state))
-                if flip != FLIP_NONE:
-                    hits.append((state, flip))
+            w12 = w[k12]
+            n = r + 1 - k11 - k12
+            # k21 runs up from 0 while k22 = r - k11 - k12 - k21 runs down.
+            for w21, w22 in zip(w[:n], w[n - 1::-1]):
+                # verdict_10 inline: k_params, corner_roots_10 and
+                # strict_ne_margins_10 in the same floating-point order.
+                K1 = w11 - w21
+                K2 = w22 - w12
+                is_attractor = -a * K1 - b * K2 < -tol and -c * K2 - d * K1 < -tol
+                is_ess = (a * (w11 - w21) + b * (w22 - w12) > tol
+                          and c * (w11 - w12) + d * (w22 - w21) > tol)
+                if is_ess != classical_ess or is_attractor != classical_attractor:
+                    hits.append((InitialStateWeights(w11, w12, w21, w22),
+                                 _flip(classical_ess, classical_attractor,
+                                       is_ess, is_attractor)))
     return hits

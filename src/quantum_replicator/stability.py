@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .dynamics import ReplicatorField
-from .games import ValidationError
+from .games import _require_tolerance
 
 __all__ = [
     "Equilibrium",
@@ -139,8 +139,7 @@ def classify(eigs, zero_tol=DEFAULT_ZERO_TOL):
     degenerate (real roots) or a linear center (imaginary pair) rather than
     guessed; linearization cannot decide those cases.
     """
-    if zero_tol <= 0.0:
-        raise ValidationError(f"zero_tol must be positive, got {zero_tol}")
+    _require_tolerance("zero_tol", zero_tol)
     l1, l2 = complex(eigs[0]), complex(eigs[1])
     real_pair = abs(l1.imag) <= zero_tol and abs(l2.imag) <= zero_tol
     if real_pair:

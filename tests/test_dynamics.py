@@ -123,6 +123,19 @@ class TestIntegrate:
         with pytest.raises(ValidationError):
             integrate(CASE_A_QUANTUM, (0.5, 0.5), max_steps=0)
 
+    @pytest.mark.parametrize("options, message", [
+        ({"step": -0.01}, "step must be positive, got -0.01"),
+        ({"step": float("-inf")}, "step must be positive, got -inf"),
+        ({"step": float("nan")}, "step must be finite, got nan"),
+        ({"step": float("inf")}, "step must be finite, got inf"),
+        ({"convergence_tol": float("nan")}, "convergence_tol must be finite, got nan"),
+        ({"convergence_tol": float("inf")}, "convergence_tol must be finite, got inf"),
+        ({"convergence_tol": float("-inf")}, "convergence_tol must be finite, got -inf"),
+    ])
+    def test_non_finite_step_or_tolerance_rejected(self, options, message):
+        with pytest.raises(ValidationError, match=message):
+            integrate(CASE_A_QUANTUM, (0.5, 0.5), max_steps=10, **options)
+
     def test_corner_start_converges_immediately(self):
         traj = integrate(CASE_A_QUANTUM, (1.0, 0.0))
         assert traj.status == "converged"

@@ -11,6 +11,7 @@ from quantum_replicator import (
     strict_ne_margins_10,
     verdict_10,
 )
+from quantum_replicator.ess import DEFAULT_STRICTNESS_TOL
 
 from conftest import make_weights
 
@@ -20,6 +21,7 @@ CASE_B = SimplifiedGame(1, -1, 1, 2)
 CASE_B_STATE = InitialStateWeights(0.35, 0.40, 0.15, 0.10)
 
 payoffs = st.floats(min_value=-5, max_value=5, allow_nan=False)
+finite = st.floats(allow_nan=False, allow_infinity=False)
 games = st.builds(SimplifiedGame, payoffs, payoffs, payoffs, payoffs)
 raw_weights = st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=4, max_size=4)
 states = raw_weights.map(make_weights)
@@ -71,6 +73,18 @@ class TestVerdict:
         with pytest.raises(ValidationError):
             verdict_10(CASE_A, CASE_A_STATE, tol=-1)
 
+    @pytest.mark.parametrize("tol, message", [
+        (0.0, "tol must be positive, got 0.0"),
+        (float("-inf"), "tol must be positive, got -inf"),
+        (float("nan"), "tol must be finite, got nan"),
+        (float("inf"), "tol must be finite, got inf"),
+    ])
+    def test_non_positive_or_non_finite_tol_rejected(self, tol, message):
+        with pytest.raises(ValidationError, match=message):
+            verdict_10(CASE_A, CASE_A_STATE, tol=tol)
+        with pytest.raises(ValidationError, match=message):
+            compare_classical_quantum(CASE_A, CASE_A_STATE, tol=tol)
+
     def test_classical_specialization(self, rng):
         # classically: ESS iff a, c > 0 and attractor iff a, d > 0
         for _ in range(200):
@@ -117,3 +131,17 @@ class TestEquivalenceBand:
                 continue
             assert v.is_ess == v.is_attractor
             checked += 1
+
+    @given(st.builds(SimplifiedGame, finite, finite, finite, finite),
+           st.floats(0.0, 0.5), st.floats(0.0, 1.0),
+           st.one_of(st.just(DEFAULT_STRICTNESS_TOL),
+                     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)))
+    def test_symmetric_slice_ess_iff_attractor_exactly(self, game, w11, share, tol):
+        # With w11 == w22 the margins are the negated corner roots bit for
+        # bit, so the two verdicts agree at every tolerance, marginal or not.
+        w12 = (1.0 - 2 * w11) * share
+        state = InitialStateWeights(w11, w12, 1.0 - 2 * w11 - w12, w11)
+        v = verdict_10(game, state, tol=tol)
+        assert v.margins.m_male == -v.roots[0]
+        assert v.margins.m_female == -v.roots[1]
+        assert v.is_ess == v.is_attractor

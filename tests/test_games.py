@@ -38,8 +38,11 @@ class TestValidation:
         assert s.as_tuple() == (0.3, 0.4, 0.1, 0.2)
 
     def test_nonfinite_payoff_rejected(self):
-        with pytest.raises(ValidationError):
-            SimplifiedGame(float("nan"), 0, 0, 0)
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValidationError, match="must be a finite real"):
+                SimplifiedGame(value, 0, 0, 0)
+            with pytest.raises(ValidationError, match="must be a finite real"):
+                InitialStateWeights(1.0, 0.0, 0.0, value)
 
     def test_non_number_payoffs_rejected(self):
         with pytest.raises(ValidationError, match="must be a real number"):

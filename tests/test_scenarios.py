@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from quantum_replicator import (
     InitialStateWeights,
@@ -13,6 +14,32 @@ from quantum_replicator import (
     make_case_c,
     scan_flip,
 )
+from quantum_replicator.ess import DEFAULT_STRICTNESS_TOL
+
+# Any finite float, plus small integers and multiples of the strictness
+# tolerance, so that margins and roots land exactly on 0 or on +-tol at
+# lattice points.
+small_ints = st.integers(-3, 3).map(float)
+payoffs = st.one_of(st.floats(allow_nan=False, allow_infinity=False), small_ints,
+                    small_ints.map(lambda k: k * DEFAULT_STRICTNESS_TOL))
+games = st.one_of(
+    st.builds(SimplifiedGame, payoffs, payoffs, payoffs, payoffs),
+    st.builds(lambda a, c, d: SimplifiedGame(a, -a, c, d), payoffs, payoffs, payoffs),
+)
+
+
+def scan_by_comparison(game, r):
+    """The scan as a full classical-vs-quantum comparison at every lattice point."""
+    expected = []
+    for k11 in range(r + 1):
+        for k12 in range(r + 1 - k11):
+            for k21 in range(r + 1 - k11 - k12):
+                state = InitialStateWeights(k11 / r, k12 / r, k21 / r,
+                                            (r - k11 - k12 - k21) / r)
+                flip = compare_classical_quantum(game, state).flip
+                if flip != "none":
+                    expected.append((state, flip))
+    return expected
 
 
 class TestCaseA:
@@ -120,14 +147,12 @@ class TestScan:
     def test_matches_full_comparison_per_point(self, game):
         # scan_flip computes the classical verdict once; comparing every
         # lattice point in full must give the same hits in the same order.
-        r = 7
-        expected = []
-        for k11 in range(r + 1):
-            for k12 in range(r + 1 - k11):
-                for k21 in range(r + 1 - k11 - k12):
-                    state = InitialStateWeights(k11 / r, k12 / r, k21 / r,
-                                                (r - k11 - k12 - k21) / r)
-                    flip = compare_classical_quantum(game, state).flip
-                    if flip != "none":
-                        expected.append((state, flip))
-        assert scan_flip(game, r) == expected
+        assert scan_flip(game, 7) == scan_by_comparison(game, 7)
+
+    @given(games, st.integers(1, 12))
+    @example(SimplifiedGame(0.0, 0.0, 0.0, 0.0), 4)
+    @example(SimplifiedGame(1.0, -1.0, 2.0, -2.0), 6)
+    @example(SimplifiedGame(DEFAULT_STRICTNESS_TOL, 0.0, DEFAULT_STRICTNESS_TOL, 0.0), 3)
+    @example(SimplifiedGame(1.7e308, -1.7e308, 1.7e308, 1.7e308), 5)
+    def test_matches_full_comparison_for_any_game(self, game, r):
+        assert scan_flip(game, r) == scan_by_comparison(game, r)

@@ -159,6 +159,16 @@ class TestClassify:
         with pytest.raises(ValidationError):
             classify((1.0, 1.0), zero_tol=0.0)
 
+    @pytest.mark.parametrize("zero_tol, message", [
+        (-1.0, "zero_tol must be positive, got -1.0"),
+        (float("-inf"), "zero_tol must be positive, got -inf"),
+        (float("nan"), "zero_tol must be finite, got nan"),
+        (float("inf"), "zero_tol must be finite, got inf"),
+    ])
+    def test_non_positive_or_non_finite_tol_rejected(self, zero_tol, message):
+        with pytest.raises(ValidationError, match=message):
+            classify((-1.0, -2.0), zero_tol=zero_tol)
+
 
 class TestCornerRoots:
     def test_classical(self):
