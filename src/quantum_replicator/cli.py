@@ -34,26 +34,11 @@ EXIT_IO = 3
 # CSV rows formatted and written at a time, so a large CSV is never held whole.
 CSV_CHUNK_ROWS = 4096
 
-SIMPLIFIED_KEYS = ("a", "b", "c", "d")
-BIMATRIX_KEYS = ("a11", "a12", "a21", "a22", "b11", "b12", "b21", "b22")
 WEIGHT_KEYS = ("w11", "w12", "w21", "w22")
 
 
 class IOFailure(Exception):
     """A spec file could not be read or an output file could not be written."""
-
-
-def _number(name, value):
-    """A finite JSON number as a float; booleans and numeric strings are refused."""
-    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
-        return float(value)
-    raise ValidationError(f"{name} must be a finite number, got {json.dumps(value)}")
-
-
-def _integer(name, value):
-    if type(value) is not int:
-        raise ValidationError(f"{name} must be an integer, got {json.dumps(value)}")
-    return value
 
 
 def _load_spec(path):
@@ -81,11 +66,11 @@ def _parse_game(spec):
     if not isinstance(game, dict):
         raise ValidationError(f"game must be an object, got {json.dumps(game)}")
     keys = set(game)
-    if keys == set(SIMPLIFIED_KEYS):
-        simplified = SimplifiedGame(**{k: _number(k, game[k]) for k in SIMPLIFIED_KEYS})
+    if keys == {"a", "b", "c", "d"}:
+        simplified = SimplifiedGame(**game)
         return simplified.to_bimatrix(), simplified
-    if keys == set(BIMATRIX_KEYS):
-        full = ClassicalBimatrix(**{k: _number(k, game[k]) for k in BIMATRIX_KEYS})
+    if keys == {"a11", "a12", "a21", "a22", "b11", "b12", "b21", "b22"}:
+        full = ClassicalBimatrix(**game)
         return full, SimplifiedGame.from_bimatrix(full)
     raise ValidationError(
         "game must have exactly the keys a,b,c,d or a11..a22,b11..b22; "
@@ -105,7 +90,6 @@ def _parse_weights(spec, renormalize):
         values = weights
     else:
         raise ValidationError("weights must be a 4-list or an object with w11..w22")
-    values = [_number(k, v) for k, v in zip(WEIGHT_KEYS, values)]
     if renormalize:
         return InitialStateWeights.renormalized(*values)
     return InitialStateWeights(*values)
@@ -116,12 +100,10 @@ def _field(args, spec):
     return ReplicatorField.quantum(simplified, _parse_weights(spec, args.renormalize))
 
 
-def _option(args, spec, name, default, parse=_number):
+def _option(args, spec, name, default):
     # flags win over the spec's options object; names use underscores in both
     value = getattr(args, name, None)
-    if value is None:
-        value = spec.get("options", {}).get(name, default)
-    return parse(name, value)
+    return spec.get("options", {}).get(name, default) if value is None else value
 
 
 def _parse_start(args, spec):
@@ -129,21 +111,19 @@ def _parse_start(args, spec):
     if raw is None:
         raise ValidationError("simulate needs a start point: --start X,Y")
     if isinstance(raw, str):
-        parts = raw.split(",")
-        if len(parts) != 2:
-            raise ValidationError(f"--start must be X,Y; got {raw!r}")
         try:
-            return (float(parts[0]), float(parts[1]))
-        except ValueError as exc:
-            raise ValidationError(f"--start must be numeric: {raw!r}") from exc
+            x, y = map(float, raw.split(","))
+        except ValueError:
+            raise ValidationError(f"--start must be numbers X,Y; got {raw!r}") from None
+        return (x, y)
     if isinstance(raw, list) and len(raw) == 2:
-        return (_number("start x", raw[0]), _number("start y", raw[1]))
+        return raw
     raise ValidationError("start must be a pair of numbers")
 
 
 def _integration_options(args, spec):
     return {"step": _option(args, spec, "step", DEFAULT_STEP),
-            "max_steps": _option(args, spec, "max_steps", DEFAULT_MAX_STEPS, _integer),
+            "max_steps": _option(args, spec, "max_steps", DEFAULT_MAX_STEPS),
             "convergence_tol": _option(args, spec, "tol", DEFAULT_CONVERGENCE_TOL)}
 
 
@@ -201,6 +181,7 @@ def _classify(args, spec):
     _, reason = interior_point(fld)
     if reason is not None:
         payload["interior_omitted_reason"] = reason
+    tol = float(tol)  # linearize accepted tol, so it is an int or a float
     warnings = [f"equilibrium ({r.equilibrium.x}, {r.equilibrium.y}) "
                 f"is degenerate at tol {tol}" for r in reports if r.tag == DEGENERATE]
     if warnings:
@@ -223,7 +204,7 @@ def _simulate(args, spec):
 
 def _portrait(args, spec):
     fld = _field(args, spec)
-    grid_n = _option(args, spec, "grid", 5, _integer)
+    grid_n = _option(args, spec, "grid", 5)
     trajectories = phase_portrait(fld, grid_n, **_integration_options(args, spec))
     return chain.from_iterable(
         zip(repeat(tid), traj.times, traj.xs, traj.ys)
@@ -232,7 +213,7 @@ def _portrait(args, spec):
 
 def _scan(args, spec):
     _, simplified = _parse_game(spec)
-    r = _option(args, spec, "resolution", 10, _integer)
+    r = _option(args, spec, "resolution", 10)
     hits = scan_flip(simplified, r)
     # Every weight is some k / r: format each of them once, not once per cell.
     cell = {k / r: str(k / r) for k in range(r + 1)}

@@ -9,11 +9,10 @@ invariant lines.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .games import (InitialStateWeights, SimplifiedGame, ValidationError,
-                    _require_tolerance, k_params)
+from .games import (InitialStateWeights, SimplifiedGame, _require_count,
+                    _require_finite, _require_tolerance, k_params)
 
 __all__ = [
     "ReplicatorField",
@@ -103,6 +102,12 @@ class Trajectory:
         return (self.xs[-1], self.ys[-1])
 
 
+def _check_integration_options(step, max_steps, convergence_tol):
+    return (_require_tolerance("step", step),
+            _require_count("max_steps", max_steps),
+            _require_tolerance("convergence_tol", convergence_tol, positive=False))
+
+
 def integrate(fld: ReplicatorField, start, step=DEFAULT_STEP,
               max_steps=DEFAULT_MAX_STEPS,
               convergence_tol=DEFAULT_CONVERGENCE_TOL) -> Trajectory:
@@ -114,14 +119,9 @@ def integrate(fld: ReplicatorField, start, step=DEFAULT_STEP,
     steps (status "max-steps").  After each step a coordinate within
     ``CLAMP_GUARD`` outside [0, 1] is pulled back onto the face.
     """
-    _require_tolerance("step", step)
-    if max_steps <= 0:
-        raise ValidationError(f"max_steps must be positive, got {max_steps}")
-    if not -math.inf < convergence_tol < math.inf:
-        raise ValidationError(f"convergence_tol must be finite, got {convergence_tol}")
-    x, y = float(start[0]), float(start[1])
-    if x != x or y != y or abs(x) == float("inf") or abs(y) == float("inf"):
-        raise ValidationError(f"start must be finite, got {start!r}")
+    step, max_steps, convergence_tol = _check_integration_options(
+        step, max_steps, convergence_tol)
+    x, y = _require_finite("start x", start[0]), _require_finite("start y", start[1])
 
     # The field is x(1-x)(p + q y), y(1-y)(r + s x), evaluated inline below in
     # the same floating-point order as field_eval.  The velocity of the stop
@@ -178,8 +178,9 @@ def phase_portrait(fld: ReplicatorField, grid_n: int, step=DEFAULT_STEP,
     Seeds landing exactly on an equilibrium are skipped; output order follows
     the lattice (row-major in x, then y).
     """
-    if grid_n < 2:
-        raise ValidationError(f"grid_n must be at least 2, got {grid_n}")
+    grid_n = _require_count("grid_n", grid_n, minimum=2)
+    # Checked here too, for a portrait whose every seed is skipped.
+    _check_integration_options(step, max_steps, convergence_tol)
     trajectories = []
     for i in range(grid_n):
         for j in range(grid_n):

@@ -78,7 +78,7 @@ def strict_ne_margins_10(game: SimplifiedGame, state: InitialStateWeights) -> Es
 def verdict_10(game: SimplifiedGame, state: InitialStateWeights,
                tol=DEFAULT_STRICTNESS_TOL) -> StabilityVerdict:
     """Attractor and ESS flags at (1, 0), with a marginal flag for near-zero calls."""
-    _require_tolerance("tol", tol)
+    tol = _require_tolerance("tol", tol)
     k = k_params(state)
     roots = corner_roots_10(game.a, game.b, game.c, game.d, k.K1, k.K2)
     margins = strict_ne_margins_10(game, state)

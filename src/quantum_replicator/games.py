@@ -33,27 +33,48 @@ class ValidationError(ValueError):
     """Raised when an input violates a documented invariant."""
 
 
+def _require_real(name, value):
+    """value as a float; a bool, a non-number or an int too large for a float fails."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} must be a finite real, got an integer "
+                              "too large for a float") from None
+
+
 def _require_finite(name, value):
-    v = value
-    if type(v) is not float:  # a plain float needs neither the type check nor float()
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValidationError(f"{name} must be a real number, got {value!r}")
-        try:
-            v = float(v)
-        except OverflowError:
-            raise ValidationError(f"{name} must be a finite real, got an integer "
-                                  "too large for a float") from None
+    # A plain float needs neither the type check nor float().
+    v = value if type(value) is float else _require_real(name, value)
     if not math.isfinite(v):
         raise ValidationError(f"{name} must be a finite real, got {value!r}")
     return v
 
 
-def _require_tolerance(name, value):
-    """Reject a tolerance or step size that is not a positive finite number."""
-    if value <= 0.0:
-        raise ValidationError(f"{name} must be positive, got {value}")
-    if not value < math.inf:  # NaN fails every comparison
-        raise ValidationError(f"{name} must be finite, got {value}")
+def _require_tolerance(name, value, positive=True):
+    """A tolerance or step size as a finite float, also positive unless told otherwise."""
+    v = _require_real(name, value)
+    if positive and v <= 0.0:
+        raise ValidationError(f"{name} must be positive, got {v}")
+    if not math.isfinite(v):
+        raise ValidationError(f"{name} must be finite, got {v}")
+    return v
+
+
+def _require_count(name, value, minimum=1):
+    """A count as an int of at least ``minimum``; a bool or a float fails."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        least = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
+        raise ValidationError(f"{name} must be {least}, got {value!r}")
+    return value
+
+
+def _require_choice(name, value, choices):
+    if value not in choices:
+        raise ValidationError(f"unknown {name} {value!r}; expected one of "
+                              + ", ".join(choices))
+    return value
 
 
 @dataclass(frozen=True)

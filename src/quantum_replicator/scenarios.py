@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .dynamics import ReplicatorField
 from .ess import DEFAULT_STRICTNESS_TOL, _flip, compare_classical_quantum, verdict_10
-from .games import InitialStateWeights, SimplifiedGame, ValidationError
+from .games import InitialStateWeights, SimplifiedGame, _require_choice, _require_count
 from .stability import interior_lambda_sq, interior_point
 
 __all__ = [
@@ -142,10 +142,8 @@ def make_case_c() -> ScenarioInstance:
 
 
 def make_case(label: str) -> ScenarioInstance:
-    try:
-        return {"a": make_case_a, "b": make_case_b, "c": make_case_c}[label]()
-    except KeyError:
-        raise ValueError(f"unknown case {label!r}; expected a, b or c") from None
+    cases = {"a": make_case_a, "b": make_case_b, "c": make_case_c}
+    return cases[_require_choice("case", label, tuple(cases))]()
 
 
 def scan_flip(game: SimplifiedGame, resolution: int):
@@ -155,13 +153,11 @@ def scan_flip(game: SimplifiedGame, resolution: int):
     parts summing to ``resolution``, in lexicographic order, and returns the
     (weights, flip) pairs whose classical-vs-quantum comparison flips.
     """
-    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 1:
-        raise ValidationError(f"resolution must be a positive integer, got {resolution!r}")
+    r = _require_count("resolution", resolution)
     classical = verdict_10(game, InitialStateWeights.classical())
     classical_ess, classical_attractor = classical.is_ess, classical.is_attractor
     a, b, c, d = game.a, game.b, game.c, game.d
     tol = DEFAULT_STRICTNESS_TOL
-    r = resolution
     w = [k / r for k in range(r + 1)]
     hits = []
     for k11 in range(r + 1):

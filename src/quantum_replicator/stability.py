@@ -139,7 +139,7 @@ def classify(eigs, zero_tol=DEFAULT_ZERO_TOL):
     degenerate (real roots) or a linear center (imaginary pair) rather than
     guessed; linearization cannot decide those cases.
     """
-    _require_tolerance("zero_tol", zero_tol)
+    zero_tol = _require_tolerance("zero_tol", zero_tol)
     l1, l2 = complex(eigs[0]), complex(eigs[1])
     real_pair = abs(l1.imag) <= zero_tol and abs(l2.imag) <= zero_tol
     if real_pair:

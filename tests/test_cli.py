@@ -249,6 +249,12 @@ class TestMalformedSpec:
         ("scan", {"game": GAME, "options": {"resolution": 2.5}}),
         ("simulate --start 0.9,0.1", {**CASE_A_SPEC, "options": {"max_steps": 1.5}}),
         ("ess", {**CASE_A_SPEC, "options": {"tol": "1e-6"}}),
+        ("simulate --start 0.9,0.1", {**CASE_A_SPEC, "options": {"step": "0.01"}}),
+        ("simulate --start 0.9,0.1", {**CASE_A_SPEC, "options": {"tol": True}}),
+        ("simulate", {**CASE_A_SPEC, "start": [True, 0.5]}),
+        ("portrait", {**CASE_A_SPEC, "options": {"grid": True}}),
+        ("portrait", {**CASE_A_SPEC, "options": {"max_steps": None}}),
+        ("scan", {"game": GAME, "options": {"resolution": None}}),
     ])
     def test_exits_2_with_one_error_line(self, spec_file, capsys, command, spec):
         code, out, err = run(capsys, *command.split(), "--spec", spec_file(spec))
@@ -263,6 +269,18 @@ class TestMalformedSpec:
         code, out, err = run(capsys, "ess", "--spec", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: spec file") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,name,value", [
+    ("simulate --start 0.9,0.1 --max-steps 20", "step", 1),
+    ("classify", "tol", 1),  # its degenerate warnings print the tolerance
+])
+def test_integer_option_gives_the_bytes_of_its_float(spec_file, capsys, command, name,
+                                                     value):
+    outputs = [run(capsys, *command.split(), "--spec", spec_file(
+        {**CASE_A_SPEC, "options": {name: v}}))[:2] for v in (value, float(value))]
+    assert outputs[0] == outputs[1]
+    assert f"{float(value)!r}" in outputs[0][1]
 
 
 LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)

@@ -131,10 +131,18 @@ class TestIntegrate:
         ({"convergence_tol": float("nan")}, "convergence_tol must be finite, got nan"),
         ({"convergence_tol": float("inf")}, "convergence_tol must be finite, got inf"),
         ({"convergence_tol": float("-inf")}, "convergence_tol must be finite, got -inf"),
+        ({"step": "0.01"}, "step must be a real number, got '0.01'"),
+        ({"convergence_tol": "x"}, "convergence_tol must be a real number, got 'x'"),
+        ({"max_steps": 2.5}, "max_steps must be a positive integer, got 2.5"),
+        ({"max_steps": True}, "max_steps must be a positive integer, got True"),
+        ({"max_steps": "3"}, "max_steps must be a positive integer, got '3'"),
+        ({"start": ("0.5", 0.5)}, "start x must be a real number, got '0.5'"),
+        ({"start": (True, 0.5)}, "start x must be a real number, got True"),
+        ({"start": (10**400, 0)}, "start x must be a finite real, got an integer too"),
     ])
     def test_non_finite_step_or_tolerance_rejected(self, options, message):
         with pytest.raises(ValidationError, match=message):
-            integrate(CASE_A_QUANTUM, (0.5, 0.5), max_steps=10, **options)
+            integrate(CASE_A_QUANTUM, **{"start": (0.5, 0.5), "max_steps": 10, **options})
 
     def test_corner_start_converges_immediately(self):
         traj = integrate(CASE_A_QUANTUM, (1.0, 0.0))
@@ -228,6 +236,18 @@ class TestPortrait:
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
             phase_portrait(CASE_A_QUANTUM, 1)
+
+    @pytest.mark.parametrize("grid_n", [2.5, "3"])
+    def test_non_integer_grid_rejected(self, grid_n):
+        with pytest.raises(ValidationError, match="grid_n must be an integer >= 2"):
+            phase_portrait(CASE_A_QUANTUM, grid_n)
+
+    def test_options_checked_when_every_seed_is_skipped(self):
+        # K1 = K2 = 0 makes the field vanish everywhere, so no orbit is integrated.
+        still = ReplicatorField(1, -1, -1, 1, 0.0, 0.0)
+        assert phase_portrait(still, 2) == []
+        with pytest.raises(ValidationError, match="step must be a real number"):
+            phase_portrait(still, 2, step="0.01")
 
     def test_trajectories_confined(self):
         for traj in phase_portrait(CASE_A_QUANTUM, 4, max_steps=3000):

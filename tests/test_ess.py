@@ -78,6 +78,9 @@ class TestVerdict:
         (float("-inf"), "tol must be positive, got -inf"),
         (float("nan"), "tol must be finite, got nan"),
         (float("inf"), "tol must be finite, got inf"),
+        ("1e-9", "tol must be a real number, got '1e-9'"),
+        (True, "tol must be a real number, got True"),
+        (None, "tol must be a real number, got None"),
     ])
     def test_non_positive_or_non_finite_tol_rejected(self, tol, message):
         with pytest.raises(ValidationError, match=message):

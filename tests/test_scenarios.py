@@ -99,7 +99,7 @@ class TestCaseC:
 def test_make_case_dispatch():
     for label in "abc":
         assert make_case(label).case_label == label
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="unknown case 'd'"):
         make_case("d")
 
 

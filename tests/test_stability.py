@@ -164,6 +164,8 @@ class TestClassify:
         (float("-inf"), "zero_tol must be positive, got -inf"),
         (float("nan"), "zero_tol must be finite, got nan"),
         (float("inf"), "zero_tol must be finite, got inf"),
+        (None, "zero_tol must be a real number, got None"),
+        ("1e-9", "zero_tol must be a real number, got '1e-9'"),
     ])
     def test_non_positive_or_non_finite_tol_rejected(self, zero_tol, message):
         with pytest.raises(ValidationError, match=message):
