@@ -29,7 +29,6 @@ from .dynamics import (
 from .stability import (
     Equilibrium,
     LinearizationReport,
-    DegenerateInteriorError,
     equilibria,
     interior_point,
     jacobian,

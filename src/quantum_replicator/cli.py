@@ -116,9 +116,7 @@ def _parse_start(args, spec):
         except ValueError:
             raise ValidationError(f"--start must be numbers X,Y; got {raw!r}") from None
         return (x, y)
-    if isinstance(raw, list) and len(raw) == 2:
-        return raw
-    raise ValidationError("start must be a pair of numbers")
+    return raw  # integrate checks that it is a pair of numbers
 
 
 def _integration_options(args, spec):

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .games import (InitialStateWeights, SimplifiedGame, _require_count,
-                    _require_finite, _require_tolerance, k_params)
+from .games import (InitialStateWeights, SimplifiedGame, ValidationError, _require_count,
+                    _require_finite, _require_real, _require_tolerance, k_params)
 
 __all__ = [
     "ReplicatorField",
@@ -50,6 +50,10 @@ class ReplicatorField:
     K1: float = 1.0
     K2: float = 0.0
 
+    def __post_init__(self):
+        for name in ("a", "b", "c", "d", "K1", "K2"):
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+
     @classmethod
     def classical(cls, game: SimplifiedGame) -> "ReplicatorField":
         return cls(game.a, game.b, game.c, game.d, 1.0, 0.0)
@@ -80,6 +84,7 @@ class ReplicatorField:
 
 def field_eval(fld: ReplicatorField, x: float, y: float):
     """Closed-form velocities (dx/dt, dy/dt); defined everywhere in the plane."""
+    x, y = _require_real("x", x), _require_real("y", y)
     xdot = x * (1.0 - x) * (fld.x_constant + fld.x_slope * y)
     ydot = y * (1.0 - y) * (fld.y_constant + fld.y_slope * x)
     return xdot, ydot
@@ -111,7 +116,7 @@ def _check_integration_options(step, max_steps, convergence_tol):
 def integrate(fld: ReplicatorField, start, step=DEFAULT_STEP,
               max_steps=DEFAULT_MAX_STEPS,
               convergence_tol=DEFAULT_CONVERGENCE_TOL) -> Trajectory:
-    """Integrate with classical fixed-step RK4 from ``start``.
+    """Integrate with classical fixed-step RK4 from the pair ``start`` = (x, y).
 
     Stops early once the sup-norm of the velocity drops below
     ``convergence_tol`` (status "converged") or the state leaves the widened
@@ -121,6 +126,8 @@ def integrate(fld: ReplicatorField, start, step=DEFAULT_STEP,
     """
     step, max_steps, convergence_tol = _check_integration_options(
         step, max_steps, convergence_tol)
+    if not isinstance(start, (tuple, list)) or len(start) != 2:
+        raise ValidationError(f"start must be a pair of numbers, got {start!r}")
     x, y = _require_finite("start x", start[0]), _require_finite("start y", start[1])
 
     # The field is x(1-x)(p + q y), y(1-y)(r + s x), evaluated inline below in

@@ -17,12 +17,14 @@ from dataclasses import dataclass
 
 from .dynamics import ReplicatorField
 from .ess import DEFAULT_STRICTNESS_TOL, _flip, compare_classical_quantum, verdict_10
-from .games import InitialStateWeights, SimplifiedGame, _require_choice, _require_count
+from .games import (InitialStateWeights, SimplifiedGame, ValidationError,
+                    _require_choice, _require_count)
 from .stability import interior_lambda_sq, interior_point
 
 __all__ = [
     "ScenarioInstance",
     "Check",
+    "make_case",
     "make_case_a",
     "make_case_b",
     "make_case_c",
@@ -47,7 +49,7 @@ class ScenarioInstance:
     def __post_init__(self):
         failed = [c.name for c in self.verification if not c.ok]
         if failed:
-            raise ValueError(
+            raise ValidationError(
                 f"case {self.case_label}: verification failed for {failed}")
 
 
@@ -167,13 +169,13 @@ def scan_flip(game: SimplifiedGame, resolution: int):
             n = r + 1 - k11 - k12
             # k21 runs up from 0 while k22 = r - k11 - k12 - k21 runs down.
             for w21, w22 in zip(w[:n], w[n - 1::-1]):
-                # verdict_10 inline: k_params, corner_roots_10 and
-                # strict_ne_margins_10 in the same floating-point order.
+                # verdict_10 inline, in the same floating-point order; the male
+                # margin a K1 + b K2 is the first corner root negated, bit for bit.
                 K1 = w11 - w21
                 K2 = w22 - w12
-                is_attractor = -a * K1 - b * K2 < -tol and -c * K2 - d * K1 < -tol
-                is_ess = (a * (w11 - w21) + b * (w22 - w12) > tol
-                          and c * (w11 - w12) + d * (w22 - w21) > tol)
+                male = a * K1 + b * K2 > tol
+                is_attractor = male and -c * K2 - d * K1 < -tol
+                is_ess = male and c * (w11 - w12) + d * (w22 - w21) > tol
                 if is_ess != classical_ess or is_attractor != classical_attractor:
                     hits.append((InitialStateWeights(w11, w12, w21, w22),
                                  _flip(classical_ess, classical_attractor,

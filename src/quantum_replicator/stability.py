@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .dynamics import ReplicatorField
-from .games import _require_tolerance
+from .games import ValidationError, _require_real, _require_tolerance
 
 __all__ = [
     "Equilibrium",
@@ -19,8 +19,8 @@ __all__ = [
     "UNSTABLE_SPIRAL",
     "CENTER_LINEARIZATION",
     "DEGENERATE",
-    "DegenerateInteriorError",
     "equilibria",
+    "interior_point",
     "jacobian",
     "eigenvalues",
     "classify",
@@ -39,10 +39,6 @@ DEGENERATE = "degenerate"
 
 DEFAULT_ZERO_TOL = 1e-9
 DENOMINATOR_TOL = 1e-12
-
-
-class DegenerateInteriorError(ValueError):
-    """The interior rest point is undefined because a denominator vanishes."""
 
 
 @dataclass(frozen=True)
@@ -87,12 +83,7 @@ def equilibria(fld: ReplicatorField):
     separately.  When a denominator vanishes the interior point is omitted;
     :func:`interior_point` names the reason.
     """
-    points = [
-        Equilibrium(0.0, 0.0, "corner", True),
-        Equilibrium(0.0, 1.0, "corner", True),
-        Equilibrium(1.0, 0.0, "corner", True),
-        Equilibrium(1.0, 1.0, "corner", True),
-    ]
+    points = [Equilibrium(x, y, "corner", True) for x in (0.0, 1.0) for y in (0.0, 1.0)]
     interior, reason = interior_point(fld)
     if interior is not None:
         x, y = interior
@@ -103,7 +94,7 @@ def equilibria(fld: ReplicatorField):
 
 def jacobian(fld: ReplicatorField, point):
     """Closed-form Jacobian ((Xx, Xy), (Yx, Yy)) of the field at ``point``."""
-    x, y = float(point[0]), float(point[1])
+    x, y = _require_real("x", point[0]), _require_real("y", point[1])
     xx = (1.0 - 2.0 * x) * (fld.x_constant + fld.x_slope * y)
     xy = x * (1.0 - x) * fld.x_slope
     yx = y * (1.0 - y) * fld.y_slope
@@ -168,14 +159,15 @@ def interior_lambda_sq(a, b, c, d, K1, K2):
     """Squared linearization root at the interior rest point.
 
     The Jacobian there is trace-free, so the eigenvalues are +/- sqrt of this
-    value: positive means a saddle, negative a linear center.
+    value: positive means a saddle, negative a linear center.  Without an
+    interior rest point, raises ValidationError with :func:`interior_point`'s reason.
     """
-    ab = a + b
-    cd = c + d
-    ksum = K1 + K2
-    for value, label in ((ab, "a+b"), (cd, "c+d"), (ksum, "K1+K2")):
-        if abs(value) <= DENOMINATOR_TOL:
-            raise DegenerateInteriorError(f"{label} = 0: no interior rest point")
+    fld = ReplicatorField(a, b, c, d, K1, K2)
+    _, reason = interior_point(fld)
+    if reason is not None:
+        raise ValidationError(f"{reason}: no interior rest point")
+    a, b, c, d, K1, K2 = fld.a, fld.b, fld.c, fld.d, fld.K1, fld.K2
+    ab, cd, ksum = a + b, c + d, K1 + K2
     num = ((a * K1 + b * K2) * (a * K2 + b * K1)
            * (c * K1 + d * K2) * (c * K2 + d * K1))
     return num / (ab * cd * ksum * ksum)

@@ -255,6 +255,9 @@ class TestMalformedSpec:
         ("portrait", {**CASE_A_SPEC, "options": {"grid": True}}),
         ("portrait", {**CASE_A_SPEC, "options": {"max_steps": None}}),
         ("scan", {"game": GAME, "options": {"resolution": None}}),
+        ("simulate", {**CASE_A_SPEC, "start": [0.5, 0.5, 0.9]}),
+        ("simulate", {**CASE_A_SPEC, "start": 0.5}),
+        ("simulate", {**CASE_A_SPEC, "start": {"x": 0.5, "y": 0.5}}),
     ])
     def test_exits_2_with_one_error_line(self, spec_file, capsys, command, spec):
         code, out, err = run(capsys, *command.split(), "--spec", spec_file(spec))

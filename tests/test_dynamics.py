@@ -76,7 +76,34 @@ def classical_bimatrix_field(game, x, y):
     return xdot, ydot
 
 
+class TestReplicatorField:
+    @pytest.mark.parametrize("numbers, message", [
+        (("1", 0, 0, 0), "a must be a real number, got '1'"),
+        ((True, 0, 0, 0), "a must be a real number, got True"),
+        ((float("nan"), 0, 0, 0), "a must be a finite real, got nan"),
+        ((0, 0, 0, 0, float("inf")), "K1 must be a finite real, got inf"),
+        ((0, 0, 0, 0, 1.0, None), "K2 must be a real number, got None"),
+        ((0, 0, 0, 10**400), "d must be a finite real, got an integer too large"),
+    ])
+    def test_numbers_checked(self, numbers, message):
+        with pytest.raises(ValidationError, match=message):
+            ReplicatorField(*numbers)
+
+    def test_numbers_stored_as_floats(self):
+        fld = ReplicatorField(1, -1, 2, 3, 1, 0)
+        assert all(type(v) is float for v in (fld.a, fld.b, fld.c, fld.d, fld.K1, fld.K2))
+
+
 class TestFieldEval:
+    @pytest.mark.parametrize("x, y, message", [
+        ("0.5", 0.5, "x must be a real number, got '0.5'"),
+        (0.5, True, "y must be a real number, got True"),
+        (None, 0.5, "x must be a real number, got None"),
+    ])
+    def test_point_checked(self, x, y, message):
+        with pytest.raises(ValidationError, match=message):
+            field_eval(CASE_A_QUANTUM, x, y)
+
     @given(fields, coords)
     def test_faces_freeze_x(self, fld, y):
         assert field_eval(fld, 0.0, y)[0] == 0.0
@@ -143,6 +170,11 @@ class TestIntegrate:
     def test_non_finite_step_or_tolerance_rejected(self, options, message):
         with pytest.raises(ValidationError, match=message):
             integrate(CASE_A_QUANTUM, **{"start": (0.5, 0.5), "max_steps": 10, **options})
+
+    @pytest.mark.parametrize("start", [(0.5,), 0.5, (0.5, 0.5, 0.9), None, "xy"])
+    def test_start_not_a_pair_rejected(self, start):
+        with pytest.raises(ValidationError, match="start must be a pair of numbers"):
+            integrate(CASE_A_QUANTUM, start, max_steps=10)
 
     def test_corner_start_converges_immediately(self):
         traj = integrate(CASE_A_QUANTUM, (1.0, 0.0))

@@ -48,7 +48,8 @@ class TestMargins:
         m = strict_ne_margins_10(game, state)
         k = k_params(state)
         root = corner_roots_10(game.a, game.b, game.c, game.d, k.K1, k.K2)[0]
-        assert abs(m.m_male + root) < 1e-12
+        # Bit for bit: rounding is symmetric under negation.
+        assert m.m_male == -root
 
 
 class TestVerdict:

@@ -5,6 +5,7 @@ from hypothesis import example, given, strategies as st
 
 from quantum_replicator import (
     InitialStateWeights,
+    ScenarioInstance,
     SimplifiedGame,
     ValidationError,
     compare_classical_quantum,
@@ -15,6 +16,7 @@ from quantum_replicator import (
     scan_flip,
 )
 from quantum_replicator.ess import DEFAULT_STRICTNESS_TOL
+from quantum_replicator.scenarios import Check
 
 # Any finite float, plus small integers and multiples of the strictness
 # tolerance, so that margins and roots land exactly on 0 or on +-tol at
@@ -94,6 +96,14 @@ class TestCaseC:
         names = {c.name for c in inst.verification if c.ok}
         assert "quantum interior outside unit square" in names
         assert "classical interior inside unit square" in names
+
+
+def test_failed_check_refuses_instance():
+    checks = (Check("holds", 1.0, True), Check("quantum m_male", -0.5, False))
+    with pytest.raises(ValidationError,
+                       match=r"case x: verification failed for \['quantum m_male'\]"):
+        ScenarioInstance(SimplifiedGame(1, -1, -1, 1), InitialStateWeights.classical(),
+                         "x", checks)
 
 
 def test_make_case_dispatch():

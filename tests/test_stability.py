@@ -1,9 +1,9 @@
 import math
+import re
 
 import pytest
 
 from quantum_replicator import (
-    DegenerateInteriorError,
     ReplicatorField,
     ValidationError,
     classify,
@@ -114,6 +114,23 @@ class TestJacobian:
                 for j in range(2):
                     assert jac[i][j] == pytest.approx(num[i][j], abs=1e-5)
 
+    @pytest.mark.parametrize("point, message", [
+        (("0.5", True), "x must be a real number, got '0.5'"),
+        ((0.5, True), "y must be a real number, got True"),
+        ((0.5, None), "y must be a real number, got None"),
+    ])
+    def test_point_checked(self, point, message):
+        with pytest.raises(ValidationError, match=message):
+            jacobian(ReplicatorField(1, 3, -2, -1), point)
+
+    def test_non_finite_point_accepted(self):
+        # Huge finite payoffs can put the interior rest point at infinity;
+        # linearize still reports it rather than refusing the field.
+        fld = ReplicatorField(1.7e308, -1e308, 1.0, 1.0, 1.0, -0.5)
+        (interior,) = [r for r in linearize(fld) if r.equilibrium.kind == "interior"]
+        assert interior.equilibrium.y == math.inf
+        assert jacobian(fld, (math.nan, math.inf))
+
 
 class TestEigenvalues:
     def test_diagonal(self):
@@ -215,10 +232,26 @@ class TestInteriorLambdaSq:
             assert val == pytest.approx(K * K * (a + b) * (c + d) / 4, rel=1e-9)
 
     def test_degenerate_raises(self):
-        with pytest.raises(DegenerateInteriorError):
-            interior_lambda_sq(1, -1, 2, 3, 0.5, 0.1)
-        with pytest.raises(DegenerateInteriorError):
-            interior_lambda_sq(1, 2, 2, 3, 0.5, -0.5)
+        # interior_point's reasons, in its order: K1+K2, then a+b, then c+d.
+        for args, reason in [((1, 2, 2, 3, 0.5, -0.5), "K1+K2 = 0"),
+                             ((1, -1, 2, -2, 0.5, -0.5), "K1+K2 = 0"),
+                             ((1, -1, 2, 3, 0.5, 0.1), "a+b = 0"),
+                             ((1, -1, 2, -2, 0.5, 0.1), "a+b = 0"),
+                             ((1, 2, 2, -2, 0.5, 0.1), "c+d = 0")]:
+            assert interior_point(ReplicatorField(*args)) == (None, reason)
+            with pytest.raises(ValidationError,
+                               match=re.escape(f"{reason}: no interior rest point")):
+                interior_lambda_sq(*args)
+
+    @pytest.mark.parametrize("args, message", [
+        (("1", 3, -2, -1, 1.0, 0.0), "a must be a real number, got '1'"),
+        ((1, 3, -2, -1, True, 0.0), "K1 must be a real number, got True"),
+        ((float("nan"), 3, -2, -1, 1.0, 0.0), "a must be a finite real, got nan"),
+        ((1, 3, -2, -1, 1.0, float("-inf")), "K2 must be a finite real, got -inf"),
+    ])
+    def test_numbers_checked(self, args, message):
+        with pytest.raises(ValidationError, match=message):
+            interior_lambda_sq(*args)
 
     def test_matches_jacobian_eigenvalues(self, rng):
         checked = 0
