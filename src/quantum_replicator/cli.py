@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation failure (including a malformed spec),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -272,7 +273,13 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared after it.
+
+    Sharing is safe: every flag has an immutable default and ``parse_args``
+    returns a fresh namespace, so no value carries from one call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="quantum-replicator",
         description="Classical and quantized replicator dynamics of 2x2 bi-matrix "

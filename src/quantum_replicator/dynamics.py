@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .games import (InitialStateWeights, SimplifiedGame, ValidationError, _require_count,
-                    _require_finite, _require_real, _require_tolerance, k_params)
+from .games import (InitialStateWeights, SimplifiedGame, _require_count, _require_finite,
+                    _require_pair, _require_real, _require_tolerance, k_params)
 
 __all__ = [
     "ReplicatorField",
@@ -126,9 +126,8 @@ def integrate(fld: ReplicatorField, start, step=DEFAULT_STEP,
     """
     step, max_steps, convergence_tol = _check_integration_options(
         step, max_steps, convergence_tol)
-    if not isinstance(start, (tuple, list)) or len(start) != 2:
-        raise ValidationError(f"start must be a pair of numbers, got {start!r}")
-    x, y = _require_finite("start x", start[0]), _require_finite("start y", start[1])
+    x, y = _require_pair("start", start)
+    x, y = _require_finite("start x", x), _require_finite("start y", y)
 
     # The field is x(1-x)(p + q y), y(1-y)(r + s x), evaluated inline below in
     # the same floating-point order as field_eval.  The velocity of the stop

@@ -52,6 +52,13 @@ def _require_finite(name, value):
     return v
 
 
+def _require_pair(name, value):
+    """value, which must be a tuple or list of two items; the items are not checked."""
+    if not isinstance(value, (tuple, list)) or len(value) != 2:
+        raise ValidationError(f"{name} must be a pair of numbers, got {value!r}")
+    return value
+
+
 def _require_tolerance(name, value, positive=True):
     """A tolerance or step size as a finite float, also positive unless told otherwise."""
     v = _require_real(name, value)

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .dynamics import ReplicatorField
-from .games import ValidationError, _require_real, _require_tolerance
+from .games import ValidationError, _require_pair, _require_real, _require_tolerance
 
 __all__ = [
     "Equilibrium",
@@ -94,7 +94,8 @@ def equilibria(fld: ReplicatorField):
 
 def jacobian(fld: ReplicatorField, point):
     """Closed-form Jacobian ((Xx, Xy), (Yx, Yy)) of the field at ``point``."""
-    x, y = _require_real("x", point[0]), _require_real("y", point[1])
+    x, y = _require_pair("point", point)
+    x, y = _require_real("x", x), _require_real("y", y)
     xx = (1.0 - 2.0 * x) * (fld.x_constant + fld.x_slope * y)
     xy = x * (1.0 - x) * fld.x_slope
     yx = y * (1.0 - y) * fld.y_slope

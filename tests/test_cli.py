@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quantum_replicator
-from quantum_replicator.cli import CSV_CHUNK_ROWS, main
+from quantum_replicator.cli import CSV_CHUNK_ROWS, build_parser, main
 from quantum_replicator.dynamics import ReplicatorField, phase_portrait
 from quantum_replicator.games import InitialStateWeights, SimplifiedGame
 
@@ -230,6 +230,51 @@ class TestInProcessCalls:
         assert (code, out.encode(), err.encode()) == (
             fresh.returncode, fresh.stdout, fresh.stderr)
         assert code == 0 and out
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_sequence_of_calls_matches_fresh_processes(self, spec_file, tmp_path, capsys,
+                                                       monkeypatch):
+        # The help and usage text wrap at the terminal width; fix it for both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        raw = spec_file({"game": GAME, "weights": [3, 4, 1, 2]}, "raw.json")
+        bad = spec_file({"game": {**GAME, "a": "1"}, "weights": WEIGHTS}, "bad.json")
+        good = spec_file(CASE_A_SPEC, "good.json")
+        out = str(tmp_path / "out.json")
+        unwritable = str(tmp_path / "missing" / "out.json")
+        calls = [
+            (["ess", "--spec", raw, "--renormalize", "--tol", "0.5", "--out", out], 0),
+            (["ess", "--spec", raw, "--out", out], 2),
+            (["--help"], 0),
+            (["classify", "--spec", good, "--bogus"], 2),
+            (["transform", "--spec", bad], 2),
+            (["transform", "--spec", good, "--out", unwritable], 3),
+            (["classify", "--spec", good, "--out", out], 0),
+        ]
+        src = str(Path(quantum_replicator.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+        def written():
+            if not os.path.exists(out):
+                return None
+            data = Path(out).read_bytes()
+            os.remove(out)
+            return data
+
+        for argv, expected in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help and argparse rejections
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process = (code, captured.out.encode(), captured.err.encode(), written())
+            fresh = subprocess.run([sys.executable, "-m", "quantum_replicator.cli", *argv],
+                                   capture_output=True, env=env, check=False)
+            assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr,
+                                  written()), argv
+            assert code == expected, argv
 
 
 class TestMalformedSpec:

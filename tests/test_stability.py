@@ -123,6 +123,12 @@ class TestJacobian:
         with pytest.raises(ValidationError, match=message):
             jacobian(ReplicatorField(1, 3, -2, -1), point)
 
+    @pytest.mark.parametrize("point", [0.5, (0.5,), (0.5, 0.5, 0.9), None, "xy",
+                                       {"x": 0.5, "y": 0.5}])
+    def test_point_not_a_pair_rejected(self, point):
+        with pytest.raises(ValidationError, match="point must be a pair of numbers"):
+            jacobian(ReplicatorField(1, 3, -2, -1), point)
+
     def test_non_finite_point_accepted(self):
         # Huge finite payoffs can put the interior rest point at infinity;
         # linearize still reports it rather than refusing the field.
