@@ -150,7 +150,7 @@ class SimplifiedGame:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InitialStateWeights:
     """Squared magnitudes of the initial-state amplitudes, one per basis pair.
 
@@ -163,15 +163,21 @@ class InitialStateWeights:
     w21: float
     w22: float
 
-    def __post_init__(self):
-        for name in ("w11", "w12", "w21", "w22"):
-            v = _require_finite(name, getattr(self, name))
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1], got {v}")
-            object.__setattr__(self, name, v)
-        total = self.w11 + self.w12 + self.w21 + self.w22
+    def __init__(self, w11, w12, w21, w22):
+        # Four plain floats in [0, 1] are already what the per-name checks
+        # return; anything else (NaN included) takes those checks in order.
+        if not (type(w11) is float and type(w12) is float
+                and type(w21) is float and type(w22) is float
+                and 0.0 <= w11 <= 1.0 and 0.0 <= w12 <= 1.0
+                and 0.0 <= w21 <= 1.0 and 0.0 <= w22 <= 1.0):
+            w11, w12, w21, w22 = (
+                _check_probability(name, v) for name, v in
+                (("w11", w11), ("w12", w12), ("w21", w21), ("w22", w22)))
+        total = w11 + w12 + w21 + w22
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError(f"weights must sum to 1, got {total!r}")
+        # Frozen: store through the instance dict, once per field.
+        self.__dict__.update(w11=w11, w12=w12, w21=w21, w22=w22)
 
     @classmethod
     def classical(cls) -> "InitialStateWeights":
@@ -186,6 +192,12 @@ class InitialStateWeights:
         if any(v < 0.0 for v in raw):
             raise ValidationError("weights must be nonnegative")
         total = sum(raw)
+        if not math.isfinite(total):
+            # Finite weights whose sum overflows: a quarter of four finite
+            # weights sums to a finite number, and for normal numbers the
+            # division is exact, so the ratios keep their bits.
+            raw = [v / 4.0 for v in raw]
+            total = sum(raw)
         if total <= 0.0:
             raise ValidationError("weights must not all be zero")
         return cls(*(v / total for v in raw))

@@ -158,6 +158,9 @@ def scan_flip(game: SimplifiedGame, resolution: int):
     r = _require_count("resolution", resolution)
     classical = verdict_10(game, InitialStateWeights.classical())
     classical_ess, classical_attractor = classical.is_ess, classical.is_attractor
+    # flips[is_ess][is_attractor]: the label of each outcome, decided once by _flip.
+    flips = [[_flip(classical_ess, classical_attractor, e, t) for t in (False, True)]
+             for e in (False, True)]
     a, b, c, d = game.a, game.b, game.c, game.d
     tol = DEFAULT_STRICTNESS_TOL
     w = [k / r for k in range(r + 1)]
@@ -178,6 +181,5 @@ def scan_flip(game: SimplifiedGame, resolution: int):
                 is_ess = male and c * (w11 - w12) + d * (w22 - w21) > tol
                 if is_ess != classical_ess or is_attractor != classical_attractor:
                     hits.append((InitialStateWeights(w11, w12, w21, w22),
-                                 _flip(classical_ess, classical_attractor,
-                                       is_ess, is_attractor)))
+                                 flips[is_ess][is_attractor]))
     return hits

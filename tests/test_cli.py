@@ -239,6 +239,7 @@ class TestInProcessCalls:
         # The help and usage text wrap at the terminal width; fix it for both sides.
         monkeypatch.setenv("COLUMNS", "80")
         raw = spec_file({"game": GAME, "weights": [3, 4, 1, 2]}, "raw.json")
+        huge = spec_file({"game": GAME, "weights": [1e308, 1e308, 0, 0]}, "huge.json")
         bad = spec_file({"game": {**GAME, "a": "1"}, "weights": WEIGHTS}, "bad.json")
         good = spec_file(CASE_A_SPEC, "good.json")
         out = str(tmp_path / "out.json")
@@ -246,6 +247,7 @@ class TestInProcessCalls:
         calls = [
             (["ess", "--spec", raw, "--renormalize", "--tol", "0.5", "--out", out], 0),
             (["ess", "--spec", raw, "--out", out], 2),
+            (["ess", "--spec", huge, "--renormalize", "--out", out], 0),
             (["--help"], 0),
             (["classify", "--spec", good, "--bogus"], 2),
             (["transform", "--spec", bad], 2),

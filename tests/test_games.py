@@ -1,7 +1,9 @@
+import dataclasses
 import math
+import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quantum_replicator import (
     ClassicalBimatrix,
@@ -16,6 +18,7 @@ from quantum_replicator import (
 )
 
 from conftest import make_weights
+from quantum_replicator.games import WEIGHT_SUM_TOL, _require_finite
 
 payoff_entries = st.floats(min_value=-10, max_value=10, allow_nan=False)
 raw_weights = st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=4, max_size=4)
@@ -36,6 +39,13 @@ class TestValidation:
     def test_renormalized(self):
         s = InitialStateWeights.renormalized(3, 4, 1, 2)
         assert s.as_tuple() == (0.3, 0.4, 0.1, 0.2)
+
+    def test_renormalized_when_the_sum_overflows(self):
+        s = InitialStateWeights.renormalized(1e308, 1e308, 0, 0)
+        assert s.as_tuple() == (0.5, 0.5, 0.0, 0.0)
+        s = InitialStateWeights.renormalized(1.5e308, 1e308, 1e308, 0)
+        assert s.as_tuple() == pytest.approx((3 / 7, 2 / 7, 2 / 7, 0.0), rel=1e-15)
+        assert s.w12 == s.w21
 
     def test_nonfinite_payoff_rejected(self):
         for value in (float("nan"), float("inf"), float("-inf")):
@@ -176,3 +186,87 @@ class TestSimplifiedGame:
     def test_round_trip_through_reduction(self):
         game = SimplifiedGame(1.5, -2.0, 0.75, 3.0)
         assert SimplifiedGame.from_bimatrix(game.to_bimatrix()) == game
+
+
+def _reference_weights(w11, w12, w21, w22):
+    """The original two-pass construction: store the four fields, then re-read,
+    check and re-store each one by name, then test the sum."""
+    fields = {"w11": w11, "w12": w12, "w21": w21, "w22": w22}
+    for name in ("w11", "w12", "w21", "w22"):
+        v = _require_finite(name, fields[name])
+        if not 0.0 <= v <= 1.0:
+            raise ValidationError(f"{name} must lie in [0, 1], got {v}")
+        fields[name] = v
+    total = fields["w11"] + fields["w12"] + fields["w21"] + fields["w22"]
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValidationError(f"weights must sum to 1, got {total!r}")
+    return tuple(fields.values())
+
+
+class Weight(float):
+    pass
+
+
+def _outcome(build, values):
+    try:
+        stored = build(*values)
+    except Exception as exc:  # the exact type is compared
+        return type(exc), str(exc)
+    if isinstance(stored, InitialStateWeights):
+        stored = stored.as_tuple()
+    return [(type(v), struct.pack("<d", v)) for v in stored]
+
+
+ODD_VALUES = st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 10**400, True,
+                              False, None, "0.5", 0, 1, 2, -1, Weight(0.5), Weight(1.5),
+                              1e-300, 1.0 + 1e-12, -1e-12])
+ANY_VALUE = (st.floats(0.0, 1.0) | st.floats(-2.0, 2.0) | st.floats()
+             | st.integers(-2, 2) | st.floats(0.0, 1.0).map(Weight) | ODD_VALUES)
+
+
+@st.composite
+def near_unit_sums(draw):
+    """Four values summing to about 1; some outside [0, 1], some not plain floats."""
+    if draw(st.booleans()):
+        r = draw(st.integers(1, 30))
+        parts = draw(st.lists(st.integers(0, r), min_size=3, max_size=3))
+        values = [k / r for k in parts] + [(r - sum(parts)) / r]
+    else:
+        values = draw(st.lists(st.floats(-2.0, 2.0) | st.floats(0.0, 1.0),
+                               min_size=3, max_size=3))
+        values.append(1.0 - values[0] - values[1] - values[2])
+    for i in draw(st.lists(st.integers(0, 3), max_size=2)):
+        kind = draw(st.sampled_from(["subclass", "int", "negzero", "odd"]))
+        if kind == "subclass":
+            values[i] = Weight(values[i])
+        elif kind == "int" and float(values[i]).is_integer():
+            values[i] = int(values[i])
+        elif kind == "negzero" and values[i] == 0.0:
+            values[i] = -0.0
+        elif kind == "odd":
+            values[i] = draw(ODD_VALUES)
+    return values
+
+
+@settings(max_examples=400)
+@given(near_unit_sums() | st.lists(ANY_VALUE, min_size=4, max_size=4))
+def test_constructor_matches_the_two_pass_check(values):
+    outcome = _outcome(InitialStateWeights, values)
+    assert outcome == _outcome(_reference_weights, values)
+    if isinstance(outcome, tuple):
+        assert outcome[0] is ValidationError
+        return
+    state = InitialStateWeights(*values)
+    names = ("w11", "w12", "w21", "w22")
+    by_keyword = InitialStateWeights(**dict(zip(names, values)))
+    assert by_keyword == state and hash(by_keyword) == hash(state)
+    assert dataclasses.asdict(state) == dict(zip(names, state.as_tuple()))
+    assert tuple(f.name for f in dataclasses.fields(state)) == names
+    assert dataclasses.replace(state) == state
+    assert dataclasses.replace(state, w11=state.w11) == state
+    assert repr(state) == "InitialStateWeights(" + ", ".join(
+        f"{n}={v!r}" for n, v in zip(names, state.as_tuple())) + ")"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.w11 = 0.5
+    with pytest.raises(ValidationError, match="w22 must lie in"):
+        dataclasses.replace(state, w22=-0.5)
