@@ -235,7 +235,7 @@ def near_unit_sums(draw):
         values = draw(st.lists(st.floats(-2.0, 2.0) | st.floats(0.0, 1.0),
                                min_size=3, max_size=3))
         values.append(1.0 - values[0] - values[1] - values[2])
-    for i in draw(st.lists(st.integers(0, 3), max_size=2)):
+    for i in draw(st.lists(st.integers(0, 3), max_size=2, unique=True)):
         kind = draw(st.sampled_from(["subclass", "int", "negzero", "odd"]))
         if kind == "subclass":
             values[i] = Weight(values[i])
