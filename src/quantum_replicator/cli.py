@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .dynamics import (DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS, DEFAULT_STEP,
                        ReplicatorField, Trajectory, integrate, phase_portrait)
-from .ess import DEFAULT_STRICTNESS_TOL, compare_classical_quantum
+from .ess import compare_classical_quantum
 from .games import (ClassicalBimatrix, InitialStateWeights, SimplifiedGame,
                     ValidationError, k_params, quantum_transform)
 from .scenarios import make_case, scan_flip
@@ -191,7 +191,7 @@ def _classify(args, spec):
 def _ess(args, spec):
     _, simplified = _parse_game(spec)
     state = _parse_weights(spec, args.renormalize)
-    tol = _option(args, spec, "tol", DEFAULT_STRICTNESS_TOL)
+    tol = _option(args, spec, "tol", DEFAULT_ZERO_TOL)
     return asdict(compare_classical_quantum(simplified, state, tol=tol))
 
 

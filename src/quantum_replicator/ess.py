@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .games import InitialStateWeights, SimplifiedGame, _require_tolerance, k_params
-from .stability import corner_roots_10
+from .stability import DEFAULT_ZERO_TOL, corner_roots_10
 
 __all__ = [
     "EssMargins",
@@ -27,10 +27,7 @@ __all__ = [
     "strict_ne_margins_10",
     "verdict_10",
     "compare_classical_quantum",
-    "DEFAULT_STRICTNESS_TOL",
 ]
-
-DEFAULT_STRICTNESS_TOL = 1e-9
 
 FLIP_NONE = "none"
 FLIP_GAINED_ESS = "gained-ess"
@@ -76,16 +73,16 @@ def strict_ne_margins_10(game: SimplifiedGame, state: InitialStateWeights) -> Es
 
 
 def verdict_10(game: SimplifiedGame, state: InitialStateWeights,
-               tol=DEFAULT_STRICTNESS_TOL) -> StabilityVerdict:
+               tol=DEFAULT_ZERO_TOL) -> StabilityVerdict:
     """Attractor and ESS flags at (1, 0), with a marginal flag for near-zero calls."""
     tol = _require_tolerance("tol", tol)
     k = k_params(state)
     roots = corner_roots_10(game.a, game.b, game.c, game.d, k.K1, k.K2)
     margins = strict_ne_margins_10(game, state)
-    marginal = (abs(roots[0]) <= tol or abs(roots[1]) <= tol
-                or abs(margins.m_male) <= tol or abs(margins.m_female) <= tol)
-    is_attractor = roots[0] < -tol and roots[1] < -tol
-    is_ess = margins.m_male > tol and margins.m_female > tol
+    marginal = abs(roots[0]) <= tol or abs(roots[1]) <= tol or abs(margins.m_female) <= tol
+    male = roots[0] < -tol  # m_male is -roots[0] up to the sign of a zero
+    is_attractor = male and roots[1] < -tol
+    is_ess = male and margins.m_female > tol
     return StabilityVerdict(is_attractor=is_attractor, is_ess=is_ess,
                             marginal=marginal, roots=roots, margins=margins)
 
@@ -104,7 +101,7 @@ def _flip(classical_ess, classical_attractor, quantum_ess, quantum_attractor) ->
 
 
 def compare_classical_quantum(game: SimplifiedGame, state: InitialStateWeights,
-                              tol=DEFAULT_STRICTNESS_TOL) -> ComparisonReport:
+                              tol=DEFAULT_ZERO_TOL) -> ComparisonReport:
     """Verdicts for the classical state and the given state, plus what flipped."""
     classical = verdict_10(game, InitialStateWeights.classical(), tol=tol)
     quantum = verdict_10(game, state, tol=tol)

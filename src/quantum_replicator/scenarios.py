@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynamics import ReplicatorField
-from .ess import DEFAULT_STRICTNESS_TOL, _flip, compare_classical_quantum, verdict_10
+from .ess import _flip, compare_classical_quantum, verdict_10
 from .games import (InitialStateWeights, SimplifiedGame, ValidationError,
                     _require_choice, _require_count)
-from .stability import interior_lambda_sq, interior_point
+from .stability import DEFAULT_ZERO_TOL, interior_lambda_sq, interior_point
 
 __all__ = [
     "ScenarioInstance",
@@ -162,7 +162,7 @@ def scan_flip(game: SimplifiedGame, resolution: int):
     flips = [[_flip(classical_ess, classical_attractor, e, t) for t in (False, True)]
              for e in (False, True)]
     a, b, c, d = game.a, game.b, game.c, game.d
-    tol = DEFAULT_STRICTNESS_TOL
+    tol = DEFAULT_ZERO_TOL
     w = [k / r for k in range(r + 1)]
     hits = []
     for k11 in range(r + 1):
@@ -172,8 +172,8 @@ def scan_flip(game: SimplifiedGame, resolution: int):
             n = r + 1 - k11 - k12
             # k21 runs up from 0 while k22 = r - k11 - k12 - k21 runs down.
             for w21, w22 in zip(w[:n], w[n - 1::-1]):
-                # verdict_10 inline, in the same floating-point order; the male
-                # margin a K1 + b K2 is the first corner root negated, bit for bit.
+                # verdict_10 inline, in the same floating-point order; the male margin
+                # a K1 + b K2 is minus the first corner root up to the sign of a zero.
                 K1 = w11 - w21
                 K2 = w22 - w12
                 male = a * K1 + b * K2 > tol

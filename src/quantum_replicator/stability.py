@@ -19,6 +19,7 @@ __all__ = [
     "UNSTABLE_SPIRAL",
     "CENTER_LINEARIZATION",
     "DEGENERATE",
+    "DEFAULT_ZERO_TOL",
     "equilibria",
     "interior_point",
     "jacobian",
@@ -37,6 +38,7 @@ UNSTABLE_SPIRAL = "unstable-spiral"
 CENTER_LINEARIZATION = "center-linearization"
 DEGENERATE = "degenerate"
 
+# The sign tolerance: a root, margin or eigenvalue part within it of zero has no sign.
 DEFAULT_ZERO_TOL = 1e-9
 DENOMINATOR_TOL = 1e-12
 

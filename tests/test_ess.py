@@ -1,5 +1,8 @@
+import struct
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quantum_replicator import (
     InitialStateWeights,
@@ -8,10 +11,11 @@ from quantum_replicator import (
     compare_classical_quantum,
     corner_roots_10,
     k_params,
+    scan_flip,
     strict_ne_margins_10,
     verdict_10,
 )
-from quantum_replicator.ess import DEFAULT_STRICTNESS_TOL
+from quantum_replicator.stability import DEFAULT_ZERO_TOL
 
 from conftest import make_weights
 
@@ -44,12 +48,23 @@ class TestMargins:
         assert m.m_female == pytest.approx(-0.15, abs=1e-15)
 
     @given(games, states)
+    @example(SimplifiedGame(1, 1, 1, 1), InitialStateWeights(0.5, 0.5, 0.0, 0.0))
     def test_male_margin_is_minus_root(self, game, state):
         m = strict_ne_margins_10(game, state)
         k = k_params(state)
         root = corner_roots_10(game.a, game.b, game.c, game.d, k.K1, k.K2)[0]
-        # Bit for bit: rounding is symmetric under negation.
+        # Rounding is symmetric under negation, so the two are equal up to the
+        # sign of a zero and every comparison agrees; a nonzero value agrees bit
+        # for bit.
         assert m.m_male == -root
+        if m.m_male != 0.0:
+            assert struct.pack("<d", m.m_male) == struct.pack("<d", -root)
+
+    def test_zero_male_margin_and_negated_root_differ_in_sign(self):
+        v = verdict_10(SimplifiedGame(1, 1, 1, 1), InitialStateWeights(0.5, 0.5, 0.0, 0.0))
+        assert struct.pack("<d", v.margins.m_male) == struct.pack("<d", 0.0)
+        assert struct.pack("<d", -v.roots[0]) == struct.pack("<d", -0.0)
+        assert v.marginal and not v.is_ess and not v.is_attractor
 
 
 class TestVerdict:
@@ -138,14 +153,92 @@ class TestEquivalenceBand:
 
     @given(st.builds(SimplifiedGame, finite, finite, finite, finite),
            st.floats(0.0, 0.5), st.floats(0.0, 1.0),
-           st.one_of(st.just(DEFAULT_STRICTNESS_TOL),
+           st.one_of(st.just(DEFAULT_ZERO_TOL),
                      st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)))
     def test_symmetric_slice_ess_iff_attractor_exactly(self, game, w11, share, tol):
-        # With w11 == w22 the margins are the negated corner roots bit for
-        # bit, so the two verdicts agree at every tolerance, marginal or not.
+        # With w11 == w22 the margins are the negated corner roots up to the
+        # sign of a zero, so every comparison agrees and the two verdicts agree
+        # at every tolerance, marginal or not.
         w12 = (1.0 - 2 * w11) * share
         state = InitialStateWeights(w11, w12, 1.0 - 2 * w11 - w12, w11)
         v = verdict_10(game, state, tol=tol)
         assert v.margins.m_male == -v.roots[0]
         assert v.margins.m_female == -v.roots[1]
         assert v.is_ess == v.is_attractor
+
+
+@st.composite
+def lattice_points(draw):
+    """A resolution r and four non-negative integers summing to r."""
+    r = draw(st.integers(1, 24))
+    k11 = draw(st.integers(0, r))
+    k12 = draw(st.integers(0, r - k11))
+    k21 = draw(st.integers(0, r - k11 - k12))
+    return r, (k11, k12, k21, r - k11 - k12 - k21)
+
+
+def exact_values(payoffs, r, k):
+    """Corner roots and margins at the lattice weights k / r, as exact rationals."""
+    a, b, c, d = (Fraction(v) for v in payoffs)
+    w11, w12, w21, w22 = (Fraction(ki, r) for ki in k)
+    K1, K2 = w11 - w21, w22 - w12
+    roots = (-a * K1 - b * K2, -c * K2 - d * K1)
+    margins = (a * (w11 - w21) + b * (w22 - w12), c * (w11 - w12) + d * (w22 - w21))
+    return roots, margins
+
+
+def exact_flags(payoffs, r, k):
+    """(is_attractor, is_ess) decided by the exact signs."""
+    roots, margins = exact_values(payoffs, r, k)
+    return all(x < 0 for x in roots), all(x > 0 for x in margins)
+
+
+def exact_flip(classical, quantum):
+    (c_attractor, c_ess), (q_attractor, q_ess) = classical, quantum
+    if c_ess != q_ess:
+        return "gained-ess" if q_ess else "lost-ess"
+    if c_attractor != q_attractor:
+        return "gained-attractor" if q_attractor else "lost-attractor"
+    return "none"
+
+
+int_payoffs = st.integers(-6, 6)
+int_games = st.tuples(int_payoffs, int_payoffs, int_payoffs, int_payoffs)
+
+
+class TestExactOracle:
+    """Integer games at lattice weights: every sign decision is exact.
+
+    Every nonzero exact root or margin is a multiple of 1/r >= 1/24, far above
+    both tolerances, and a zero one rounds to within about 1e-15 of zero.
+    """
+
+    @settings(max_examples=300)
+    @given(int_games, lattice_points())
+    def test_verdict_flags_are_the_exact_signs(self, payoffs, point):
+        r, k = point
+        game = SimplifiedGame(*payoffs)
+        state = InitialStateWeights(*(ki / r for ki in k))
+        roots, margins = exact_values(payoffs, r, k)
+        is_attractor, is_ess = exact_flags(payoffs, r, k)
+        for tol in (DEFAULT_ZERO_TOL, 1e-6):
+            v = verdict_10(game, state, tol=tol)
+            assert v.is_attractor == is_attractor
+            assert v.is_ess == is_ess
+            assert v.marginal == (0 in roots or 0 in margins)
+
+    @settings(max_examples=100)
+    @given(int_games, st.integers(1, 12))
+    def test_scan_hits_are_the_exact_flips(self, payoffs, r):
+        classical = exact_flags(payoffs, 1, (1, 0, 0, 0))
+        expected = []
+        for k11 in range(r + 1):
+            for k12 in range(r + 1 - k11):
+                for k21 in range(r + 1 - k11 - k12):
+                    k = (k11, k12, k21, r - k11 - k12 - k21)
+                    flip = exact_flip(classical, exact_flags(payoffs, r, k))
+                    if flip != "none":
+                        expected.append((k, flip))
+        hits = scan_flip(SimplifiedGame(*payoffs), r)
+        assert [(tuple(round(w * r) for w in s.as_tuple()), flip)
+                for s, flip in hits] == expected

@@ -15,15 +15,15 @@ from quantum_replicator import (
     make_case_c,
     scan_flip,
 )
-from quantum_replicator.ess import DEFAULT_STRICTNESS_TOL
 from quantum_replicator.scenarios import Check
+from quantum_replicator.stability import DEFAULT_ZERO_TOL
 
-# Any finite float, plus small integers and multiples of the strictness
+# Any finite float, plus small integers and multiples of the sign
 # tolerance, so that margins and roots land exactly on 0 or on +-tol at
 # lattice points.
 small_ints = st.integers(-3, 3).map(float)
 payoffs = st.one_of(st.floats(allow_nan=False, allow_infinity=False), small_ints,
-                    small_ints.map(lambda k: k * DEFAULT_STRICTNESS_TOL))
+                    small_ints.map(lambda k: k * DEFAULT_ZERO_TOL))
 games = st.one_of(
     st.builds(SimplifiedGame, payoffs, payoffs, payoffs, payoffs),
     st.builds(lambda a, c, d: SimplifiedGame(a, -a, c, d), payoffs, payoffs, payoffs),
@@ -162,7 +162,7 @@ class TestScan:
     @given(games, st.integers(1, 12))
     @example(SimplifiedGame(0.0, 0.0, 0.0, 0.0), 4)
     @example(SimplifiedGame(1.0, -1.0, 2.0, -2.0), 6)
-    @example(SimplifiedGame(DEFAULT_STRICTNESS_TOL, 0.0, DEFAULT_STRICTNESS_TOL, 0.0), 3)
+    @example(SimplifiedGame(DEFAULT_ZERO_TOL, 0.0, DEFAULT_ZERO_TOL, 0.0), 3)
     @example(SimplifiedGame(1.7e308, -1.7e308, 1.7e308, 1.7e308), 5)
     def test_matches_full_comparison_for_any_game(self, game, r):
         assert scan_flip(game, r) == scan_by_comparison(game, r)
