@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict
 from itertools import chain, islice, repeat
@@ -36,6 +37,9 @@ EXIT_IO = 3
 CSV_CHUNK_ROWS = 4096
 
 WEIGHT_KEYS = ("w11", "w12", "w21", "w22")
+# The library's parameter names that start its error messages, and the spec key
+# and flag by which a CLI user sets each.
+_USER_NAMES = {"grid_n": "grid", "zero_tol": "tol", "convergence_tol": "tol"}
 
 
 class IOFailure(Exception):
@@ -131,11 +135,23 @@ def _emit_json(payload):
 
 
 def _write_file(path, pieces):
+    """Write the pieces to the file at path, or to stdout when path is None."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(pieces)
+        if path is None:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(pieces)
     except OSError as exc:
-        raise IOFailure(f"cannot write {path}: {exc}") from exc
+        if path is not None:
+            raise IOFailure(f"cannot write {path}: {exc}") from exc
+        # Python flushes stdout again at exit, which would fail the same way and
+        # print a second report; send what is left to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise IOFailure(f"cannot write to stdout: {exc}") from exc
 
 
 def _csv_chunks(header, rows):
@@ -306,15 +322,13 @@ def main(argv=None):
             pieces = [_emit_json(output)]
         else:
             pieces = _csv_chunks(command.header, output)
-        if args.out is None:
-            sys.stdout.writelines(pieces)
-        else:
-            _write_file(args.out, pieces)
+        _write_file(args.out, pieces)
         if status is not None:
             sys.stderr.write(status)
         return EXIT_OK
     except ValidationError as exc:
-        error, code = exc, EXIT_VALIDATION
+        name, space, rest = str(exc).partition(" ")
+        error, code = _USER_NAMES.get(name, name) + space + rest, EXIT_VALIDATION
     except IOFailure as exc:
         error, code = exc, EXIT_IO
     sys.stderr.write(f"error: {error}\n")

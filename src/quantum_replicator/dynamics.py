@@ -51,7 +51,7 @@ class ReplicatorField:
     K2: float = 0.0
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d", "K1", "K2"):
+        for name in self.__dataclass_fields__:
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
 
     @classmethod
@@ -172,7 +172,7 @@ def integrate(fld: ReplicatorField, start, step=DEFAULT_STEP,
             y = 1.0
         xs.append(x)
         ys.append(y)
-    times = (0.0, *[i * step for i in range(1, len(xs))])
+    times = tuple([i * step for i in range(len(xs))])
     return Trajectory(times, tuple(xs), tuple(ys), status)
 
 

@@ -98,7 +98,7 @@ class ClassicalBimatrix:
     b22: float
 
     def __post_init__(self):
-        for name in ("a11", "a12", "a21", "a22", "b11", "b12", "b21", "b22"):
+        for name in self.__dataclass_fields__:
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
 
     @property
@@ -125,7 +125,7 @@ class SimplifiedGame:
     d: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
+        for name in self.__dataclass_fields__:
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
 
     def to_bimatrix(self) -> ClassicalBimatrix:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quantum_replicator
-from quantum_replicator.cli import CSV_CHUNK_ROWS, build_parser, main
+from quantum_replicator.cli import COMMANDS, CSV_CHUNK_ROWS, build_parser, main
 from quantum_replicator.dynamics import ReplicatorField, phase_portrait
 from quantum_replicator.games import InitialStateWeights, SimplifiedGame
 
@@ -33,6 +34,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_env():
+    """The environment of a fresh interpreter that imports this package's source."""
+    src = str(Path(quantum_replicator.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 class TestTransform:
@@ -222,11 +230,8 @@ class TestInProcessCalls:
                 main(rejected)
         capsys.readouterr()
         code, out, err = run(capsys, *argv)
-        src = str(Path(quantum_replicator.__file__).resolve().parents[1])
-        path = [src, os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         fresh = subprocess.run([sys.executable, "-m", "quantum_replicator.cli", *argv],
-                               capture_output=True, env=env, check=False)
+                               capture_output=True, env=fresh_env(), check=False)
         assert (code, out.encode(), err.encode()) == (
             fresh.returncode, fresh.stdout, fresh.stderr)
         assert code == 0 and out
@@ -254,9 +259,7 @@ class TestInProcessCalls:
             (["transform", "--spec", good, "--out", unwritable], 3),
             (["classify", "--spec", good, "--out", out], 0),
         ]
-        src = str(Path(quantum_replicator.__file__).resolve().parents[1])
-        path = [src, os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        env = fresh_env()
 
         def written():
             if not os.path.exists(out):
@@ -277,6 +280,64 @@ class TestInProcessCalls:
             assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr,
                                   written()), argv
             assert code == expected, argv
+
+
+class TestFreshInterpreter:
+    def test_no_subcommand_imports_numpy(self, spec_file, tmp_path):
+        # The package uses the standard library only, also where numpy is installed.
+        spec = spec_file(CASE_A_SPEC)
+        calls = [["transform", "--spec", spec], ["classify", "--spec", spec],
+                 ["ess", "--spec", spec],
+                 ["simulate", "--spec", spec, "--start", "0.9,0.1", "--max-steps", "50"],
+                 ["portrait", "--spec", spec, "--grid", "2", "--max-steps", "50"],
+                 ["scan", "--spec", spec, "--resolution", "4"], ["demo", "a"]]
+        assert [argv[0] for argv in calls] == list(COMMANDS)
+        script = ("import json, sys\n"
+                  "from quantum_replicator.cli import main\n"
+                  "codes = [main(argv + ['--out', sys.argv[2]])"
+                  " for argv in json.loads(sys.argv[1])]\n"
+                  "print(codes, 'numpy' in sys.modules)\n")
+        fresh = subprocess.run([sys.executable, "-c", script, json.dumps(calls),
+                                str(tmp_path / "out")],
+                               capture_output=True, text=True, env=fresh_env(), check=False)
+        assert fresh.stdout == f"{[0] * len(calls)} False\n", fresh.stderr
+
+    @pytest.mark.parametrize("argv", [["demo", "a"], ["scan", "--resolution", "30"]])
+    def test_failed_write_to_stdout_exits_3(self, spec_file, argv):
+        # demo's JSON fails at the flush; scan's 286 kB of CSV inside the write.
+        if argv[0] == "scan":
+            argv = argv + ["--spec", spec_file(CASE_A_SPEC)]
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the child starts, so its first write to stdout fails
+        try:
+            fresh = subprocess.run([sys.executable, "-m", "quantum_replicator.cli", *argv],
+                                   stdout=write_end, stderr=subprocess.PIPE,
+                                   env=fresh_env(), check=False)
+        finally:
+            os.close(write_end)
+        err = fresh.stderr.decode()
+        assert fresh.returncode == 3, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("command,name,value,expected", [
+    ("portrait --max-steps 5", "grid", 1, "error: grid must be an integer >= 2"),
+    ("classify", "tol", -1, "error: tol must be positive"),
+    ("portrait --grid 2 --max-steps 5", "tol", math.nan, "error: tol must be finite"),
+    ("simulate --start 0.9,0.1", "tol", math.inf, "error: tol must be finite"),
+])
+@pytest.mark.parametrize("form", ["flag", "spec"])
+def test_error_names_the_flag_or_spec_key(spec_file, capsys, command, name, value,
+                                          expected, form):
+    if form == "flag":
+        argv = [*command.split(), f"--{name}", str(value), "--spec", spec_file(CASE_A_SPEC)]
+    else:
+        argv = [*command.split(), "--spec",
+                spec_file({**CASE_A_SPEC, "options": {name: value}})]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(expected) and err.count("\n") == 1
 
 
 class TestMalformedSpec:
