@@ -17,11 +17,11 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from itertools import chain, islice, repeat
+from itertools import count, islice, repeat
 from typing import Callable, NamedTuple, Optional
 
 from .dynamics import (DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS, DEFAULT_STEP,
-                       ReplicatorField, Trajectory, integrate, phase_portrait)
+                       ReplicatorField, Trajectory, _orbits, integrate)
 from .ess import compare_classical_quantum
 from .games import (ClassicalBimatrix, InitialStateWeights, SimplifiedGame,
                     ValidationError, k_params, quantum_transform)
@@ -154,20 +154,32 @@ def _write_file(path, pieces):
         raise IOFailure(f"cannot write to stdout: {exc}") from exc
 
 
-def _csv_chunks(header, rows):
+def _csv_chunks(header, lines):
     """The CSV text in pieces of at most CSV_CHUNK_ROWS lines, header first."""
-    # str of a float is its shortest round-trip repr, so one %s per column
-    # covers the float, int and str cells alike.
-    formatted = map(",".join(["%s"] * len(header)).__mod__, rows)
-    lines = [",".join(header), *islice(formatted, CSV_CHUNK_ROWS - 1)]
-    while lines:
-        yield _csv_piece(lines)
-        lines = list(islice(formatted, CSV_CHUNK_ROWS))
+    lines = iter(lines)
+    chunk = [",".join(header), *islice(lines, CSV_CHUNK_ROWS - 1)]
+    while chunk:
+        yield _csv_piece(chunk)
+        chunk = list(islice(lines, CSV_CHUNK_ROWS))
 
 
 def _csv_piece(lines):
     # perfbench/test_perfbench.py corrupts this line to check its output gate.
     return "\n".join(lines) + "\n"
+
+
+def _orbit_lines(trajectories, prefixes):
+    """The CSV line ``<prefix><t>,<x>,<y>`` of every sample, trajectory by trajectory.
+
+    The trajectories share one step, so sample i of each has t = i * step:
+    each t cell is formatted once, for the first trajectory that reaches it.
+    """
+    t_cells = []
+    for prefix, traj in zip(prefixes, trajectories):
+        if len(traj) > len(t_cells):
+            t_cells.extend([f"{t}," for t in traj.times[len(t_cells):]])
+        yield from map("".join, zip(repeat(prefix), t_cells, map(repr, traj.xs),
+                                    repeat(","), map(repr, traj.ys)))
 
 
 def _transform(args, spec):
@@ -220,10 +232,9 @@ def _simulate(args, spec):
 def _portrait(args, spec):
     fld = _field(args, spec)
     grid_n = _option(args, spec, "grid", 5)
-    trajectories = phase_portrait(fld, grid_n, **_integration_options(args, spec))
-    return chain.from_iterable(
-        zip(repeat(tid), traj.times, traj.xs, traj.ys)
-        for tid, traj in enumerate(trajectories))
+    orbits = _orbits(fld, grid_n, **_integration_options(args, spec))
+    # ids count the trajectories drawn, so they stay consecutive over skipped seeds
+    return _orbit_lines(orbits, (f"{tid}," for tid in count()))
 
 
 def _scan(args, spec):
@@ -232,7 +243,7 @@ def _scan(args, spec):
     hits = scan_flip(simplified, r)
     # Every weight is some k / r: format each of them once, not once per cell.
     cell = {k / r: str(k / r) for k in range(r + 1)}
-    return [(cell[s.w11], cell[s.w12], cell[s.w21], cell[s.w22], flip)
+    return [f"{cell[s.w11]},{cell[s.w12]},{cell[s.w21]},{cell[s.w22]},{flip}"
             for s, flip in hits]
 
 
@@ -261,10 +272,12 @@ FLAGS = {
     "--resolution": {"type": int, "help": "lattice subdivisions"},
 }
 ANALYSIS_FLAGS = ("--spec", "--out", "--tol", "--renormalize")
+_VALUE_FLAGS = frozenset(flag for flag, kwargs in FLAGS.items()
+                         if flag.startswith("--") and "action" not in kwargs)
 
 
 class Command(NamedTuple):
-    handler: Callable  # (args, spec) -> JSON payload, CSV rows or a Trajectory
+    handler: Callable  # (args, spec) -> JSON payload, CSV lines or a Trajectory
     help: str
     flags: tuple
     header: Optional[tuple] = None  # CSV header; None for a JSON report
@@ -309,15 +322,45 @@ def build_parser():
     return parser
 
 
+def _join_negative_values(argv):
+    """argv with each value flag joined by "=" to a following value that starts
+    with "-" and is numbers separated by commas.
+
+    argparse reads such a value as an option unless it is a plain negative
+    number: ``--tol -1e-3``, ``--tol -inf`` and ``--start -0.1,0.5`` would
+    fail with "expected one argument".
+    """
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _VALUE_FLAGS and _is_negative_numbers(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
+def _is_negative_numbers(token):
+    if not token.startswith("-"):
+        return False
+    try:
+        for part in token.split(","):
+            float(part)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser().parse_args(_join_negative_values(argv))
     command = COMMANDS[args.command]
     try:
         output = command.handler(args, _load_spec(getattr(args, "spec", None)))
         status = None
         if isinstance(output, Trajectory):
             status = f"status: {output.status} after {len(output) - 1} steps\n"
-            output = zip(output.times, output.xs, output.ys)
+            output = _orbit_lines([output], [""])
         if command.header is None:
             pieces = [_emit_json(output)]
         else:

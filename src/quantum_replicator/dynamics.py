@@ -184,18 +184,21 @@ def phase_portrait(fld: ReplicatorField, grid_n: int, step=DEFAULT_STEP,
     Seeds landing exactly on an equilibrium are skipped; output order follows
     the lattice (row-major in x, then y).
     """
+    return list(_orbits(fld, grid_n, step, max_steps, convergence_tol))
+
+
+def _orbits(fld, grid_n, step, max_steps, convergence_tol):
+    """phase_portrait's trajectories as a lazy iterator, one integrated at a time.
+
+    The arguments are checked on the call, before any trajectory is asked for.
+    """
     grid_n = _require_count("grid_n", grid_n, minimum=2)
     # Checked here too, for a portrait whose every seed is skipped.
     _check_integration_options(step, max_steps, convergence_tol)
-    trajectories = []
-    for i in range(grid_n):
-        for j in range(grid_n):
-            sx = (i + 1) / (grid_n + 1)
-            sy = (j + 1) / (grid_n + 1)
-            vx, vy = field_eval(fld, sx, sy)
-            if vx == 0.0 and vy == 0.0:
-                continue
-            trajectories.append(
-                integrate(fld, (sx, sy), step=step, max_steps=max_steps,
-                          convergence_tol=convergence_tol))
-    return trajectories
+    seeds = (((i + 1) / (grid_n + 1), (j + 1) / (grid_n + 1))
+             for i in range(grid_n) for j in range(grid_n))
+    # integrate is looked up as a module global on each call, so a rebinding of
+    # dynamics.integrate (a tracer's wrapper) sees every trajectory.
+    return (integrate(fld, seed, step=step, max_steps=max_steps,
+                      convergence_tol=convergence_tol)
+            for seed in seeds if field_eval(fld, *seed) != (0.0, 0.0))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,13 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 import quantum_replicator
 from quantum_replicator.cli import COMMANDS, CSV_CHUNK_ROWS, build_parser, main
-from quantum_replicator.dynamics import ReplicatorField, phase_portrait
+from quantum_replicator.dynamics import ReplicatorField, integrate, phase_portrait
 from quantum_replicator.games import InitialStateWeights, SimplifiedGame
 
 CASE_A_SPEC = {"game": {"a": 1, "b": -1, "c": -1, "d": 1},
                "weights": [0.3, 0.4, 0.1, 0.2]}
 CASE_C_SPEC = {"game": {"a": 1, "b": 3, "c": -2, "d": -1},
                "weights": [0.25, 0.60, 0.05, 0.10]}
+CLASSICAL_C_SPEC = {"game": {"a": 1, "b": 3, "c": -2, "d": -1}, "weights": [1, 0, 0, 0]}
 
 
 @pytest.fixture
@@ -141,6 +143,26 @@ class TestSimulate:
         assert code == 2
         assert "start" in err
 
+    @pytest.mark.parametrize("spec,start,options,status", [
+        (CLASSICAL_C_SPEC, (0.3, 0.3), {"step": 0.3, "max_steps": 5000}, "max-steps"),
+        (CASE_A_SPEC, (-0.1, 0.5), {}, "left-domain"),
+    ], ids=["max-steps", "left-domain"])
+    def test_csv_matches_the_trajectory(self, spec_file, tmp_path, capsys, spec, start,
+                                        options, status):
+        out_path = tmp_path / "traj.csv"
+        argv = ["simulate", "--spec", spec_file(spec), f"--start={start[0]},{start[1]}",
+                *(f"--{k.replace('_', '-')}={v!r}" for k, v in options.items())]
+        code, out, err = run(capsys, *argv)
+        assert run(capsys, *argv, "--out", str(out_path)) == (0, "", err)
+        game, weights = spec["game"], spec["weights"]
+        fld = ReplicatorField.quantum(SimplifiedGame(**game), InitialStateWeights(*weights))
+        traj = integrate(fld, start, **options)
+        assert traj.status == status
+        assert err == f"status: {status} after {len(traj) - 1} steps\n"
+        rows = [f"{t!r},{x!r},{y!r}" for t, x, y in zip(traj.times, traj.xs, traj.ys)]
+        assert (code, out) == (0, "\n".join(["t,x,y", *rows]) + "\n")
+        assert out_path.read_text() == out
+
 
 class TestPortrait:
     def test_header_and_ids(self, spec_file, tmp_path, capsys):
@@ -153,22 +175,77 @@ class TestPortrait:
         ids = {line.split(",")[0] for line in lines[1:]}
         assert ids == {"0", "1", "2", "3"}
 
-    def test_csv_spanning_several_pieces(self, spec_file, tmp_path, capsys):
-        # 9 orbits x 1001 samples: more rows than CSV_CHUNK_ROWS, twice over.
-        spec = spec_file(CASE_C_SPEC)
+    @pytest.mark.parametrize("spec,grid,options,statuses,drawn", [
+        # 9 orbits x 1001 samples
+        (CASE_C_SPEC, 3, {"max_steps": 1000}, {"max-steps"}, 9),
+        # a coordination game: orbits converge after 455 to 543 samples
+        ({"game": {"a": 2, "b": 1, "c": 3, "d": 1}, "weights": [0.5, 0.25, 0.25, 0]},
+         3, {"step": 0.1, "max_steps": 5000, "convergence_tol": 1e-6}, {"converged"}, 9),
+        # the centre seed (0.5, 0.5) is the rest point: it is skipped, ids run on
+        ({"game": {"a": 1, "b": 1, "c": 1, "d": 1}, "weights": [1, 0, 0, 0]},
+         5, {"step": 0.1, "convergence_tol": 1e-9}, {"converged"}, 24),
+        # a long step: orbits land on the faces or leave the square
+        ({"game": {"a": 1, "b": -6, "c": 6, "d": 4}, "weights": [1, 0, 0, 0]},
+         3, {"step": 1.0, "max_steps": 1000}, {"max-steps", "left-domain"}, 9),
+        (CASE_C_SPEC, 2, {"step": 1e-3, "max_steps": 3000}, {"max-steps"}, 4),
+        (CLASSICAL_C_SPEC, 2, {"step": 0.3, "max_steps": 2000}, {"max-steps"}, 4),
+    ], ids=["case-c-quantum", "converging", "rest-point-seed", "faces-left-domain",
+            "step-1e-3", "step-0.3"])
+    def test_csv_spanning_several_pieces(self, spec_file, tmp_path, capsys, spec, grid,
+                                         options, statuses, drawn):
         out_path = tmp_path / "portrait.csv"
-        argv = ["portrait", "--spec", spec, "--grid", "3", "--max-steps", "1000"]
+        flags = {"max_steps": "--max-steps", "step": "--step", "convergence_tol": "--tol"}
+        argv = ["portrait", "--spec", spec_file(spec), "--grid", str(grid),
+                *(f"{flags[k]}={v!r}" for k, v in options.items())]
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert run(capsys, *argv, "--out", str(out_path))[0] == 0
         assert out_path.read_text() == out
-        fld = ReplicatorField.quantum(SimplifiedGame(1, 3, -2, -1),
-                                      InitialStateWeights(0.25, 0.60, 0.05, 0.10))
+        game, weights = spec["game"], spec["weights"]
+        fld = ReplicatorField.quantum(SimplifiedGame(**game), InitialStateWeights(*weights))
+        trajectories = phase_portrait(fld, grid, **options)
+        assert len(trajectories) == drawn
+        assert {traj.status for traj in trajectories} == statuses
         rows = [f"{tid},{t!r},{x!r},{y!r}"
-                for tid, traj in enumerate(phase_portrait(fld, 3, max_steps=1000))
+                for tid, traj in enumerate(trajectories)
                 for t, x, y in zip(traj.times, traj.xs, traj.ys)]
-        assert len(rows) > 2 * CSV_CHUNK_ROWS
+        assert len(rows) > CSV_CHUNK_ROWS
         assert out == "\n".join(["id,t,x,y", *rows]) + "\n"
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--grid", "1"), ("--step", "0"), ("--max-steps", "0"), ("--tol", "nan")])
+    @pytest.mark.parametrize("existing", [b"kept\n", None], ids=["existing", "missing"])
+    def test_invalid_option_leaves_out_untouched(self, spec_file, tmp_path, capsys, flag,
+                                                 value, existing):
+        out_path = tmp_path / "portrait.csv"
+        if existing is not None:
+            out_path.write_bytes(existing)
+        code, out, err = run(capsys, "portrait", "--spec", spec_file(CASE_C_SPEC),
+                             flag, value, "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if existing is None:
+            assert not out_path.exists()
+        else:
+            assert out_path.read_bytes() == existing
+
+    def test_memory_does_not_grow_with_the_grid(self, spec_file, tmp_path):
+        # Trajectories are integrated and written one at a time.  500 steps keep
+        # the call short under tracemalloc, which traces every float; holding
+        # every trajectory would still make the grid-6 peak about twice the grid-3 one.
+        spec = spec_file(CLASSICAL_C_SPEC)
+        build_parser()
+        peaks = []
+        for grid in (3, 6):
+            tracemalloc.start()
+            try:
+                code = main(["portrait", "--spec", spec, "--grid", str(grid),
+                             "--max-steps", "500", "--out", str(tmp_path / "portrait.csv")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestScan:
@@ -319,6 +396,23 @@ class TestFreshInterpreter:
         assert fresh.returncode == 3, err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("command,flag,value,code,expected", [
+    ("classify", "--tol", "-1e-3", 2, "error: tol must be positive, got -0.001\n"),
+    ("portrait --grid 2 --max-steps 5", "--step", "-1e-2",
+     2, "error: step must be positive, got -0.01\n"),
+    ("portrait --grid 2 --max-steps 5", "--tol", "-inf",
+     2, "error: tol must be finite, got -inf\n"),
+    ("simulate", "--start", "-0.1,0.5", 0, "status: left-domain after 1 steps\n"),
+], ids=["classify-tol", "portrait-step", "portrait-tol", "simulate-start"])
+@pytest.mark.parametrize("form", ["flag value", "flag=value"])
+def test_negative_value_after_a_flag(spec_file, capsys, command, flag, value, code,
+                                     expected, form):
+    argv = [flag, value] if form == "flag value" else [f"{flag}={value}"]
+    result = run(capsys, *command.split(), *argv, "--spec", spec_file(CASE_A_SPEC))
+    assert result[0] == code
+    assert result[2] == expected
 
 
 @pytest.mark.parametrize("command,name,value,expected", [
