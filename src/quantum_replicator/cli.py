@@ -12,12 +12,13 @@ Exit codes: 0 success, 2 validation failure (including a malformed spec),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
 import sys
-from dataclasses import asdict
 from itertools import count, islice, repeat
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional
 
 from .dynamics import (DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS, DEFAULT_STEP,
@@ -131,7 +132,75 @@ def _integration_options(args, spec):
 
 
 def _emit_json(payload):
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2) + "\\n"``, built in one pass.
+
+    A dataclass prints as the object of its fields, as ``dataclasses.asdict``
+    would give them, and a tuple as a list.  Dict keys must be strings.
+    """
+    pieces = []
+    _json_pieces(payload, "\n", pieces.append)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+# float.__repr__ of the non-finite floats, and their JSON text
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_pieces(value, newline, put):
+    """Pass the JSON text of value to put, piece by piece; newline starts each
+    of its lines."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        put(_NON_FINITE.get(text, text))
+    elif isinstance(value, str):
+        put(encode_basestring_ascii(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        separator, comma = "[" + inner, "," + inner
+        for item in value:
+            put(separator)
+            _json_pieces(item, inner, put)
+            separator = comma
+        put(newline + "]")
+    else:
+        items = (value if isinstance(value, dict) else _fields(value)).items()
+        if not items:
+            put("{}")
+            return
+        inner = newline + "  "
+        separator, comma = "{" + inner, "," + inner
+        for key, item in items:
+            put(separator + encode_basestring_ascii(key) + ": ")
+            _json_pieces(item, inner, put)
+            separator = comma
+        put(newline + "}")
+
+
+def _fields(obj):
+    """The fields of a dataclass instance by name, in declaration order."""
+    names = _field_names(type(obj))
+    if names is None:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return {name: getattr(obj, name) for name in names}
+
+
+@functools.cache
+def _field_names(cls):
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(field.name for field in dataclasses.fields(cls))
 
 
 def _write_file(path, pieces):
@@ -187,12 +256,7 @@ def _transform(args, spec):
     state = _parse_weights(spec, args.renormalize)
     pair = quantum_transform(game, state)
     k = k_params(state)
-    return {
-        "omega": [list(row) for row in pair.omega],
-        "chi": [list(row) for row in pair.chi],
-        "K1": k.K1,
-        "K2": k.K2,
-    }
+    return {"omega": pair.omega, "chi": pair.chi, "K1": k.K1, "K2": k.K2}
 
 
 def _classify(args, spec):
@@ -200,9 +264,9 @@ def _classify(args, spec):
     tol = _option(args, spec, "tol", DEFAULT_ZERO_TOL)
     reports = linearize(fld, tol)
     payload = {"K1": fld.K1, "K2": fld.K2, "equilibria": [{
-        **asdict(r.equilibrium),
-        "jacobian": [list(row) for row in r.jacobian],
-        "eigenvalues": [[z.real, z.imag] for z in r.eigs],
+        **_fields(r.equilibrium),
+        "jacobian": r.jacobian,
+        "eigenvalues": [(z.real, z.imag) for z in r.eigs],
         "tag": r.tag,
     } for r in reports]}
     _, reason = interior_point(fld)
@@ -220,7 +284,7 @@ def _ess(args, spec):
     _, simplified = _parse_game(spec)
     state = _parse_weights(spec, args.renormalize)
     tol = _option(args, spec, "tol", DEFAULT_ZERO_TOL)
-    return asdict(compare_classical_quantum(simplified, state, tol=tol))
+    return compare_classical_quantum(simplified, state, tol=tol)
 
 
 def _simulate(args, spec):
@@ -251,10 +315,10 @@ def _demo(args, spec):
     instance = make_case(args.case)
     return {
         "case": instance.case_label,
-        "game": asdict(instance.game),
-        "weights": asdict(instance.state),
-        "checks": [asdict(c) for c in instance.verification],
-        "comparison": asdict(compare_classical_quantum(instance.game, instance.state)),
+        "game": instance.game,
+        "weights": instance.state,
+        "checks": instance.verification,
+        "comparison": compare_classical_quantum(instance.game, instance.state),
     }
 
 
@@ -308,6 +372,7 @@ def build_parser():
 
     Sharing is safe: every flag has an immutable default and ``parse_args``
     returns a fresh namespace, so no value carries from one call to the next.
+    Its ``command_parsers`` maps each command's name to that command's parser.
     """
     parser = argparse.ArgumentParser(
         prog="quantum-replicator",
@@ -319,24 +384,57 @@ def build_parser():
         p = sub.add_parser(name, help=command.help)
         for flag in command.flags:
             p.add_argument(flag, **FLAGS[flag])
+    parser.command_parsers = sub.choices
     return parser
 
 
-def _join_negative_values(argv):
+def _parse_args(argv):
+    """``build_parser().parse_args(argv)``, with negative values joined to their flags.
+
+    The top parser hands every word after the command to that command's
+    parser, so when argv starts with a command, its parser reads the rest
+    directly, and a word it leaves is refused as the top parser refuses it.
+    """
+    parser = build_parser()
+    name = argv[0] if argv else None
+    command_parser = parser.command_parsers.get(name)
+    if command_parser is None:  # no command, -h or an unknown command
+        return parser.parse_args(argv)
+    args, extras = command_parser.parse_known_args(
+        _join_negative_values(argv[1:], COMMANDS[name].flags))
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = name
+    return args
+
+
+def _join_negative_values(argv, flags):
     """argv with each value flag joined by "=" to a following value that starts
     with "-" and is numbers separated by commas.
 
     argparse reads such a value as an option unless it is a plain negative
     number: ``--tol -1e-3``, ``--tol -inf`` and ``--start -0.1,0.5`` would
-    fail with "expected one argument".
+    fail with "expected one argument".  flags are the command's ``Command.flags``.
     """
     joined = []
     for token in argv:
-        if joined and joined[-1] in _VALUE_FLAGS and _is_negative_numbers(token):
+        if joined and _is_negative_numbers(token) and _is_value_flag(joined[-1], flags):
             joined[-1] += "=" + token
         else:
             joined.append(token)
     return joined
+
+
+def _is_value_flag(token, flags):
+    """Whether argparse reads token as one of flags that takes a value: by its
+    full name, or by a prefix that no other option of the command shares
+    (``--to`` for ``--tol``).  An ambiguous prefix is left to argparse to refuse."""
+    if token in flags:
+        return token in _VALUE_FLAGS
+    if not token.startswith("--"):
+        return False
+    matches = [flag for flag in ("--help", *flags) if flag.startswith(token)]
+    return len(matches) == 1 and matches[0] in _VALUE_FLAGS
 
 
 def _is_negative_numbers(token):
@@ -353,7 +451,7 @@ def _is_negative_numbers(token):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_join_negative_values(argv))
+    args = _parse_args(argv)
     command = COMMANDS[args.command]
     try:
         output = command.handler(args, _load_spec(getattr(args, "spec", None)))

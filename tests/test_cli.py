@@ -6,15 +6,20 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import quantum_replicator
-from quantum_replicator.cli import COMMANDS, CSV_CHUNK_ROWS, build_parser, main
+from quantum_replicator.cli import (COMMANDS, CSV_CHUNK_ROWS, _emit_json, _parse_args,
+                                    build_parser, main)
 from quantum_replicator.dynamics import ReplicatorField, integrate, phase_portrait
+from quantum_replicator.ess import compare_classical_quantum
 from quantum_replicator.games import InitialStateWeights, SimplifiedGame
+from quantum_replicator.scenarios import make_case
+from quantum_replicator.stability import linearize
 
 CASE_A_SPEC = {"game": {"a": 1, "b": -1, "c": -1, "d": 1},
                "weights": [0.3, 0.4, 0.1, 0.2]}
@@ -335,6 +340,7 @@ class TestInProcessCalls:
             (["transform", "--spec", bad], 2),
             (["transform", "--spec", good, "--out", unwritable], 3),
             (["classify", "--spec", good, "--out", out], 0),
+            (["classify", "--spec", good, "extra"], 2),
         ]
         env = fresh_env()
 
@@ -415,6 +421,81 @@ def test_negative_value_after_a_flag(spec_file, capsys, command, flag, value, co
     assert result[2] == expected
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("classify", "--tol", "-1e-3"),
+    ("portrait --grid 2 --max-steps 5", "--step", "-1e-2"),
+    ("portrait --grid 2 --max-steps 5", "--tol", "-inf"),
+    ("simulate", "--start", "-0.1,0.5"),
+], ids=["classify-tol", "portrait-step", "portrait-tol", "simulate-start"])
+def test_abbreviated_flag_takes_a_negative_value(spec_file, capsys, command, flag, value):
+    # --to, --ste and --star are each a prefix of one option of their command only.
+    argv = [*command.split(), "--spec", spec_file(CASE_A_SPEC)]
+    assert run(capsys, *argv, flag[:-1], value) == run(capsys, *argv, flag, value)
+
+
+def test_ambiguous_flag_before_a_negative_value_is_refused(spec_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--spec", spec_file(CASE_A_SPEC), "--st", "-1e-3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: ambiguous option: --st could match --start, --step\n")
+
+
+def _parse_outcome(capsys, parse, argv):
+    """vars of the namespace, or the SystemExit code with stdout and stderr."""
+    try:
+        outcome = vars(parse(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,reference", [
+    (["-h"], None),
+    (["--help"], None),
+    (["--he"], None),
+    (["classify", "-h"], None),
+    (["demo", "--help"], None),
+    (["portrait", "--spec", "s.json", "--he"], None),
+    ([], None),
+    (["bogus"], None),
+    (["Classify", "--spec", "s.json"], None),
+    (["--spec", "s.json", "classify"], None),
+    (["classify", "--spec", "s.json", "extra"], None),
+    (["demo", "a", "b", "--bogus"], None),
+    (["ess", "--bogus", "x", "--spec", "s.json"], None),
+    (["demo"], None),
+    (["demo", "d"], None),
+    (["demo", "a", "--out", "o.json"], None),
+    (["classify", "--", "--spec", "s.json"], None),
+    (["demo", "--", "a"], None),
+    (["transform", "--spec", "s.json", "--"], None),
+    (["classify", "--tol", "1", "--tol", "2", "--spec", "a.json", "--spec", "b.json"], None),
+    (["simulate", "--start=0.1,0.2", "--step=0.5", "--max-steps=7", "--tol=1e-3"], None),
+    (["classify", "--to", "1e-3", "--sp", "s.json", "--renorm", "--o", "o.json"], None),
+    (["portrait", "--g", "3", "--m", "9"], None),
+    (["simulate", "--st", "1"], None),
+    (["portrait", "--grid", "x"], None),
+    (["classify", "--tol"], None),
+    (["scan", "--resolution", "-3"], None),
+    (["classify", "--tol", "-1e-3"], ["classify", "--tol=-1e-3"]),
+    (["classify", "--to", "-inf"], ["classify", "--to=-inf"]),
+    (["simulate", "--start", "-0.1,0.5", "--ste", "-1e-2"],
+     ["simulate", "--start=-0.1,0.5", "--ste=-1e-2"]),
+    (["simulate", "--st", "-1e-3"], None),
+    (["transform", "--tol", "-1e-3"], None),
+    (["portrait", "--max-steps", "-5", "--grid", "-2"],
+     ["portrait", "--max-steps=-5", "--grid=-2"]),
+])
+def test_command_parser_matches_the_top_parser(capsys, monkeypatch, argv, reference):
+    # main parses argv[1:] with the command's own parser; the top parser would
+    # hand those words to the same parser.  reference is argv with the negative
+    # values joined to their flags, where that differs from argv.
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage text wrap at the terminal width
+    expected = _parse_outcome(capsys, build_parser().parse_args, reference or argv)
+    assert _parse_outcome(capsys, _parse_args, argv) == expected
+
+
 @pytest.mark.parametrize("command,name,value,expected", [
     ("portrait --max-steps 5", "grid", 1, "error: grid must be an integer >= 2"),
     ("classify", "tol", -1, "error: tol must be positive"),
@@ -486,6 +567,51 @@ def test_integer_option_gives_the_bytes_of_its_float(spec_file, capsys, command,
         {**CASE_A_SPEC, "options": {name: v}}))[:2] for v in (value, float(value))]
     assert outputs[0] == outputs[1]
     assert f"{float(value)!r}" in outputs[0][1]
+
+
+FLOAT_EDGES = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1])
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.sampled_from([2**70, -2**70])
+               | st.floats() | FLOAT_EDGES | st.text(max_size=4))
+JSON_TREES = st.recursive(
+    JSON_LEAVES, lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4), max_leaves=20)
+
+
+class TestEmitJson:
+    @settings(max_examples=500)
+    @given(value=JSON_TREES)
+    def test_matches_indented_json_dumps(self, value):
+        assert _emit_json(value) == json.dumps(value, indent=2) + "\n"
+
+    @settings(max_examples=100)
+    @given(game=st.tuples(*[st.integers(-4, 4) | st.floats(-4, 4)] * 4),
+           weights=st.lists(st.integers(0, 5), min_size=4, max_size=4).filter(any))
+    def test_dataclasses_print_as_asdict(self, game, weights):
+        game = SimplifiedGame(*game)
+        state = InitialStateWeights.renormalized(*weights)
+        payloads = [compare_classical_quantum(game, state), game, state]
+        for r in linearize(ReplicatorField.quantum(game, state)):
+            payloads += [r.equilibrium, r.jacobian]
+        for payload in payloads:
+            expected = asdict(payload) if not isinstance(payload, tuple) else payload
+            assert _emit_json(payload) == json.dumps(expected, indent=2) + "\n"
+
+    @pytest.mark.parametrize("case", ["a", "b", "c"])
+    def test_demo_instance_prints_as_asdict(self, case):
+        instance = make_case(case)
+        assert _emit_json(instance) == json.dumps(asdict(instance), indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [{1, 2}, set(), 1j, [0.5, {"z": 2 - 1j}], {"a": {3}}])
+    def test_set_or_complex_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            _emit_json(value)
+
+    def test_key_that_is_not_a_string_raises_type_error(self):
+        with pytest.raises(TypeError):
+            _emit_json({1: 2})
 
 
 LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
