@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 validation failure (including a malformed spec),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -65,7 +64,9 @@ def _load_spec(path):
     return spec
 
 
-def _parse_game(spec):
+def _parse_game(spec, bimatrix=False):
+    """The spec's game as the reduced SimplifiedGame, or as the full
+    ClassicalBimatrix when bimatrix is true, converted if given in the other form."""
     game = spec.get("game")
     if game is None:
         raise ValidationError("spec is missing the 'game' object")
@@ -73,11 +74,11 @@ def _parse_game(spec):
         raise ValidationError(f"game must be an object, got {json.dumps(game)}")
     keys = set(game)
     if keys == {"a", "b", "c", "d"}:
-        simplified = SimplifiedGame(**game)
-        return simplified.to_bimatrix(), simplified
+        game = SimplifiedGame(**game)
+        return game.to_bimatrix() if bimatrix else game
     if keys == {"a11", "a12", "a21", "a22", "b11", "b12", "b21", "b22"}:
-        full = ClassicalBimatrix(**game)
-        return full, SimplifiedGame.from_bimatrix(full)
+        game = ClassicalBimatrix(**game)
+        return game if bimatrix else SimplifiedGame.from_bimatrix(game)
     raise ValidationError(
         "game must have exactly the keys a,b,c,d or a11..a22,b11..b22; "
         f"got {sorted(keys)}")
@@ -102,8 +103,8 @@ def _parse_weights(spec, renormalize):
 
 
 def _field(args, spec):
-    _, simplified = _parse_game(spec)
-    return ReplicatorField.quantum(simplified, _parse_weights(spec, args.renormalize))
+    return ReplicatorField.quantum(_parse_game(spec),
+                                   _parse_weights(spec, args.renormalize))
 
 
 def _option(args, spec, name, default):
@@ -113,16 +114,17 @@ def _option(args, spec, name, default):
 
 
 def _parse_start(args, spec):
-    raw = args.start if args.start is not None else spec.get("start")
-    if raw is None:
-        raise ValidationError("simulate needs a start point: --start X,Y")
-    if isinstance(raw, str):
-        try:
-            x, y = map(float, raw.split(","))
-        except ValueError:
-            raise ValidationError(f"--start must be numbers X,Y; got {raw!r}") from None
-        return (x, y)
-    return raw  # integrate checks that it is a pair of numbers
+    if args.start is None:  # only the flag takes the X,Y syntax
+        start = spec.get("start")
+        if start is None:
+            raise ValidationError("simulate needs a start point: --start X,Y")
+        return start  # integrate checks that it is a pair of numbers
+    try:
+        x, y = map(float, args.start.split(","))
+    except ValueError:
+        raise ValidationError(
+            f"--start must be numbers X,Y; got {args.start!r}") from None
+    return (x, y)
 
 
 def _integration_options(args, spec):
@@ -134,8 +136,9 @@ def _integration_options(args, spec):
 def _emit_json(payload):
     """``json.dumps(payload, indent=2) + "\\n"``, built in one pass.
 
-    A dataclass prints as the object of its fields, as ``dataclasses.asdict``
-    would give them, and a tuple as a list.  Dict keys must be strings.
+    Any other object prints as the object of ``vars(obj)``: a report object's
+    fields in declaration order.  A tuple prints as a list.  Dict keys must be
+    strings; a set, a complex or an object without ``__dict__`` raises TypeError.
     """
     pieces = []
     _json_pieces(payload, "\n", pieces.append)
@@ -175,7 +178,7 @@ def _json_pieces(value, newline, put):
             separator = comma
         put(newline + "]")
     else:
-        items = (value if isinstance(value, dict) else _fields(value)).items()
+        items = (value if isinstance(value, dict) else vars(value)).items()
         if not items:
             put("{}")
             return
@@ -186,21 +189,6 @@ def _json_pieces(value, newline, put):
             _json_pieces(item, inner, put)
             separator = comma
         put(newline + "}")
-
-
-def _fields(obj):
-    """The fields of a dataclass instance by name, in declaration order."""
-    names = _field_names(type(obj))
-    if names is None:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return {name: getattr(obj, name) for name in names}
-
-
-@functools.cache
-def _field_names(cls):
-    if not dataclasses.is_dataclass(cls):
-        return None
-    return tuple(field.name for field in dataclasses.fields(cls))
 
 
 def _write_file(path, pieces):
@@ -252,7 +240,7 @@ def _orbit_lines(trajectories, prefixes):
 
 
 def _transform(args, spec):
-    game, _ = _parse_game(spec)
+    game = _parse_game(spec, bimatrix=True)
     state = _parse_weights(spec, args.renormalize)
     pair = quantum_transform(game, state)
     k = k_params(state)
@@ -264,7 +252,7 @@ def _classify(args, spec):
     tol = _option(args, spec, "tol", DEFAULT_ZERO_TOL)
     reports = linearize(fld, tol)
     payload = {"K1": fld.K1, "K2": fld.K2, "equilibria": [{
-        **_fields(r.equilibrium),
+        **vars(r.equilibrium),
         "jacobian": r.jacobian,
         "eigenvalues": [(z.real, z.imag) for z in r.eigs],
         "tag": r.tag,
@@ -281,10 +269,10 @@ def _classify(args, spec):
 
 
 def _ess(args, spec):
-    _, simplified = _parse_game(spec)
+    game = _parse_game(spec)
     state = _parse_weights(spec, args.renormalize)
     tol = _option(args, spec, "tol", DEFAULT_ZERO_TOL)
-    return compare_classical_quantum(simplified, state, tol=tol)
+    return compare_classical_quantum(game, state, tol=tol)
 
 
 def _simulate(args, spec):
@@ -302,9 +290,9 @@ def _portrait(args, spec):
 
 
 def _scan(args, spec):
-    _, simplified = _parse_game(spec)
+    game = _parse_game(spec)
     r = _option(args, spec, "resolution", 10)
-    hits = scan_flip(simplified, r)
+    hits = scan_flip(game, r)
     # Every weight is some k / r: format each of them once, not once per cell.
     cell = {k / r: str(k / r) for k in range(r + 1)}
     return [f"{cell[s.w11]},{cell[s.w12]},{cell[s.w21]},{cell[s.w22]},{flip}"

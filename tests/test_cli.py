@@ -17,7 +17,8 @@ from quantum_replicator.cli import (COMMANDS, CSV_CHUNK_ROWS, _emit_json, _parse
                                     build_parser, main)
 from quantum_replicator.dynamics import ReplicatorField, integrate, phase_portrait
 from quantum_replicator.ess import compare_classical_quantum
-from quantum_replicator.games import InitialStateWeights, SimplifiedGame
+from quantum_replicator.games import (ClassicalBimatrix, InitialStateWeights,
+                                      SimplifiedGame, quantum_transform)
 from quantum_replicator.scenarios import make_case
 from quantum_replicator.stability import linearize
 
@@ -88,6 +89,20 @@ class TestTransform:
         code, out, _ = run(capsys, "transform", "--spec", spec)
         assert code == 0
         assert json.loads(out)["omega"] == [[0.0, 1.0], [2.0, 0.0]]
+
+    def test_full_bimatrix_is_not_reduced(self, spec_file, capsys):
+        # Finite entries whose reduction a12 - a22 overflows: the transform
+        # mixes the entries as given and never needs the reduced constants.
+        game = {"a11": 0.5, "a12": 1e308, "a21": 2, "a22": -1e308,
+                "b11": 1, "b12": -3, "b21": 4, "b22": 0}
+        weights = [0.25, 0.6, 0.05, 0.1]
+        code, out, err = run(capsys, "transform", "--spec",
+                             spec_file({"game": game, "weights": weights}))
+        assert (code, err) == (0, "")
+        pair = quantum_transform(ClassicalBimatrix(**game), InitialStateWeights(*weights))
+        payload = json.loads(out)
+        assert payload["omega"] == [list(row) for row in pair.omega]
+        assert payload["chi"] == [list(row) for row in pair.chi]
 
     def test_missing_spec_file_exits_3(self, capsys):
         code, _, err = run(capsys, "transform", "--spec", "/nonexistent/spec.json")
@@ -541,6 +556,7 @@ class TestMalformedSpec:
         ("simulate", {**CASE_A_SPEC, "start": [0.5, 0.5, 0.9]}),
         ("simulate", {**CASE_A_SPEC, "start": 0.5}),
         ("simulate", {**CASE_A_SPEC, "start": {"x": 0.5, "y": 0.5}}),
+        ("simulate", {**CASE_A_SPEC, "start": "0.9,0.1"}),  # X,Y is the flag's syntax
     ])
     def test_exits_2_with_one_error_line(self, spec_file, capsys, command, spec):
         code, out, err = run(capsys, *command.split(), "--spec", spec_file(spec))
@@ -578,6 +594,15 @@ JSON_TREES = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=4), max_leaves=20)
 
 
+class Slotted:
+    """An object without a ``__dict__``, which neither JSON encoder prints."""
+
+    __slots__ = ("x",)
+
+    def __init__(self):
+        self.x = 1.0
+
+
 class TestEmitJson:
     @settings(max_examples=500)
     @given(value=JSON_TREES)
@@ -602,7 +627,8 @@ class TestEmitJson:
         instance = make_case(case)
         assert _emit_json(instance) == json.dumps(asdict(instance), indent=2) + "\n"
 
-    @pytest.mark.parametrize("value", [{1, 2}, set(), 1j, [0.5, {"z": 2 - 1j}], {"a": {3}}])
+    @pytest.mark.parametrize("value", [{1, 2}, set(), 1j, [0.5, {"z": 2 - 1j}], {"a": {3}},
+                                       {"report": Slotted()}])
     def test_set_or_complex_raises_type_error(self, value):
         with pytest.raises(TypeError):
             json.dumps(value, indent=2)
@@ -632,22 +658,72 @@ SPECS = (st.fixed_dictionaries({}, optional={
     | JSON_VALUES)
 
 
+def _check_exit_contract(tmp_path_factory, spec, argv):
+    """Run argv on spec; return the exit code and stdout after checking the contract."""
+    path = tmp_path_factory.getbasetemp() / "fuzz-spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], "--spec", str(path), *argv[1:]])
+    assert code in (0, 2, 3)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    return code, out.getvalue()
+
+
 @settings(max_examples=300, deadline=None)
 @given(command=st.sampled_from(["transform", "classify", "ess"]), spec=SPECS,
        renormalize=st.booleans(), tol=st.none() | st.floats())
 def test_arbitrary_spec_keeps_exit_contract(tmp_path_factory, command, spec,
                                             renormalize, tol):
-    path = tmp_path_factory.getbasetemp() / "fuzz-spec.json"
-    path.write_text(json.dumps(spec), encoding="utf-8")
-    argv = [command, "--spec", str(path)]
+    argv = [command]
     if renormalize:
         argv.append("--renormalize")
     if tol is not None and command != "transform":
         argv.append(f"--tol={tol!r}")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 2, 3)
-    if code:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    _check_exit_contract(tmp_path_factory, spec, argv)
+
+
+# Each run command's options, by the spec key; the flag is --<key> with "-" for "_".
+# Every size is small and always given, since the defaults run 10**5 steps per orbit.
+RUN_OPTIONS = {"simulate": ("start", "step", "max_steps", "tol"),
+               "portrait": ("step", "max_steps", "grid", "tol"),
+               "scan": ("resolution",)}
+RUN_VALUES = {"start": st.tuples(st.floats(0, 1) | st.floats(), st.floats(0, 1) | st.floats()),
+              "step": st.floats(1e-3, 1) | st.floats(), "tol": st.floats(),
+              "max_steps": st.integers(1, 50), "grid": st.integers(2, 4),
+              "resolution": st.integers(1, 8)}
+# What a spec may hold instead, for at most one key: no integer above 3.
+ODD_VALUES = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+              | st.text(max_size=4) | st.lists(st.integers(-3, 3) | st.floats(), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), command=st.sampled_from(list(RUN_OPTIONS)),
+       spec=st.sampled_from([CASE_A_SPEC, CASE_C_SPEC, CLASSICAL_C_SPEC, None]),
+       renormalize=st.booleans())
+def test_arbitrary_run_spec_keeps_exit_contract(tmp_path_factory, data, command, spec,
+                                                renormalize):
+    # A valid game and weights in three of four runs, so that exit 0 is common.
+    spec = dict(spec or data.draw(st.fixed_dictionaries({"game": GAMES,
+                                                         "weights": WEIGHT_VALUES})))
+    argv, options = [command], {}
+    if renormalize and command != "scan":
+        argv.append("--renormalize")
+    odd = data.draw(st.sampled_from([None, *RUN_OPTIONS[command]]), "odd key")
+    for key in RUN_OPTIONS[command]:
+        if key == odd:
+            where, value = "spec", data.draw(ODD_VALUES, key)
+        else:
+            places = ["flag", "spec", "absent"] if key in ("step", "tol") else ["flag", "spec"]
+            where = data.draw(st.sampled_from(places), key)
+            value = data.draw(RUN_VALUES[key], key)
+        if where == "flag":
+            text = ",".join(map(repr, value)) if key == "start" else repr(value)
+            argv.append(f"--{key.replace('_', '-')}={text}")
+        elif where == "spec":
+            (spec if key == "start" else options)[key] = value
+    code, out = _check_exit_contract(tmp_path_factory, {**spec, "options": options}, argv)
+    if code == 0:
+        assert out.startswith(",".join(COMMANDS[command].header) + "\n")
