@@ -377,7 +377,7 @@ def build_parser():
 
 
 def _parse_args(argv):
-    """``build_parser().parse_args(argv)``, with negative values joined to their flags.
+    """``build_parser().parse_args(argv)``, with dash values joined to their flags.
 
     The top parser hands every word after the command to that command's
     parser, so when argv starts with a command, its parser reads the rest
@@ -389,24 +389,28 @@ def _parse_args(argv):
     if command_parser is None:  # no command, -h or an unknown command
         return parser.parse_args(argv)
     args, extras = command_parser.parse_known_args(
-        _join_negative_values(argv[1:], COMMANDS[name].flags))
+        _join_dash_values(argv[1:], COMMANDS[name].flags))
     if extras:
         parser.error("unrecognized arguments: " + " ".join(extras))
     args.command = name
     return args
 
 
-def _join_negative_values(argv, flags):
-    """argv with each value flag joined by "=" to a following value that starts
-    with "-" and is numbers separated by commas.
+def _join_dash_values(argv, flags):
+    """argv with each value flag joined by "=" to the next word when that word
+    starts with a single "-" and is not "-h"; no word after "--" is joined.
 
-    argparse reads such a value as an option unless it is a plain negative
-    number: ``--tol -1e-3``, ``--tol -inf`` and ``--start -0.1,0.5`` would
-    fail with "expected one argument".  flags are the command's ``Command.flags``.
+    argparse would read the word as an option: ``--tol -1e-3`` and ``--out
+    -o.json`` fail with "expected one argument".  Only its syntax is tested:
+    the flag's type and the library judge the value.  flags are the command's
+    ``Command.flags``.
     """
     joined = []
-    for token in argv:
-        if joined and _is_negative_numbers(token) and _is_value_flag(joined[-1], flags):
+    for i, token in enumerate(argv):
+        if token == "--":  # argparse reads every word after it as a positional
+            return [*joined, *argv[i:]]
+        if (joined and token.startswith("-") and not token.startswith("--")
+                and token != "-h" and _is_value_flag(joined[-1], flags)):
             joined[-1] += "=" + token
         else:
             joined.append(token)
@@ -423,17 +427,6 @@ def _is_value_flag(token, flags):
         return False
     matches = [flag for flag in ("--help", *flags) if flag.startswith(token)]
     return len(matches) == 1 and matches[0] in _VALUE_FLAGS
-
-
-def _is_negative_numbers(token):
-    if not token.startswith("-"):
-        return False
-    try:
-        for part in token.split(","):
-            float(part)
-    except ValueError:
-        return False
-    return True
 
 
 def main(argv=None):

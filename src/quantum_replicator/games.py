@@ -140,13 +140,14 @@ class SimplifiedGame:
 
         The planar replicator field depends on the payoffs only through
         a12-a22, a21-a11, b12-b22, b21-b11; games with equal reductions have
-        identical dynamics.
+        identical dynamics.  A difference that overflows fails under the
+        names of its entries, as ``a12 - a22``.
         """
         return cls(
-            a=game.a12 - game.a22,
-            b=game.a21 - game.a11,
-            c=game.b12 - game.b22,
-            d=game.b21 - game.b11,
+            a=_require_finite("a12 - a22", game.a12 - game.a22),
+            b=_require_finite("a21 - a11", game.a21 - game.a11),
+            c=_require_finite("b12 - b22", game.b12 - game.b22),
+            d=_require_finite("b21 - b11", game.b21 - game.b11),
         )
 
 

@@ -456,6 +456,29 @@ def test_ambiguous_flag_before_a_negative_value_is_refused(spec_file, capsys):
         "error: ambiguous option: --st could match --start, --step\n")
 
 
+def test_dash_spec_name_after_its_flag(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-s.json").write_text(json.dumps(CASE_A_SPEC))
+    result = run(capsys, "ess", "--spec", "-s.json")
+    assert result[0] == 0
+    assert result == run(capsys, "ess", "--spec=-s.json")
+
+
+def test_dash_out_name_after_its_flag(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, printed, _ = run(capsys, "demo", "a")
+    assert run(capsys, "demo", "a", "--out", "-o.json") == (code, "", "")
+    assert (tmp_path / "-o.json").read_text(encoding="utf-8") == printed
+
+
+def test_dash_value_is_judged_by_the_flag_type(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--tol", "-abc"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --tol: invalid float value: '-abc'\n")
+
+
 def _parse_outcome(capsys, parse, argv):
     """vars of the namespace, or the SystemExit code with stdout and stderr."""
     try:
@@ -501,10 +524,17 @@ def _parse_outcome(capsys, parse, argv):
     (["transform", "--tol", "-1e-3"], None),
     (["portrait", "--max-steps", "-5", "--grid", "-2"],
      ["portrait", "--max-steps=-5", "--grid=-2"]),
+    (["classify", "--spec", "s.json", "-1e-3"], None),
+    (["classify", "--", "--tol", "-1e-3"], None),
+    (["classify", "--spec", "-h"], None),
+    (["classify", "--tol", "--", "-1e-3"], None),
+    (["classify", "--tol", "--renormalize"], None),
+    (["ess", "--spec", "-s.json", "--tol", "-x"], ["ess", "--spec=-s.json", "--tol=-x"]),
+    (["demo", "a", "--o", "-o.json"], ["demo", "a", "--o=-o.json"]),
 ])
 def test_command_parser_matches_the_top_parser(capsys, monkeypatch, argv, reference):
     # main parses argv[1:] with the command's own parser; the top parser would
-    # hand those words to the same parser.  reference is argv with the negative
+    # hand those words to the same parser.  reference is argv with the dash
     # values joined to their flags, where that differs from argv.
     monkeypatch.setenv("COLUMNS", "80")  # help and usage text wrap at the terminal width
     expected = _parse_outcome(capsys, build_parser().parse_args, reference or argv)
@@ -563,6 +593,23 @@ class TestMalformedSpec:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,spec,error", [
+        ("classify", {**CASE_A_SPEC, "weights": [0.5, 0.5]},
+         "weights must be a 4-list or an object with w11..w22"),
+        ("transform", {**CASE_A_SPEC, "weights": "0.3,0.4,0.1,0.2"},
+         "weights must be a 4-list or an object with w11..w22"),
+        ("simulate --start 0.5", CASE_A_SPEC, "--start must be numbers X,Y; got '0.5'"),
+        ("simulate --start 1,2,3", CASE_A_SPEC, "--start must be numbers X,Y; got '1,2,3'"),
+        ("simulate --start a,b", CASE_A_SPEC, "--start must be numbers X,Y; got 'a,b'"),
+    ] + [(command, {"game": {"a11": 0, "a12": 1e308, "a21": 1, "a22": -1e308,
+                             "b11": 0, "b12": 1, "b21": 1, "b22": 0}, "weights": WEIGHTS},
+          "a12 - a22 must be a finite real, got inf")
+         for command in ("classify", "ess", "simulate --start 0.5,0.5", "portrait", "scan")])
+    def test_error_line(self, spec_file, capsys, command, spec, error):
+        # A full game whose reduction overflows is named by its entries, not by a.
+        code, out, err = run(capsys, *command.split(), "--spec", spec_file(spec))
+        assert (code, out, err) == (2, "", f"error: {error}\n")
 
     @pytest.mark.parametrize("data", [b"{", b"[" * 100_000, b"\xff"])
     def test_unparsable_file_exits_2(self, tmp_path, capsys, data):
@@ -658,18 +705,27 @@ SPECS = (st.fixed_dictionaries({}, optional={
     | JSON_VALUES)
 
 
-def _check_exit_contract(tmp_path_factory, spec, argv):
-    """Run argv on spec; return the exit code and stdout after checking the contract."""
+def _check_exit_contract(tmp_path_factory, spec, argv, flags=()):
+    """Run argv on spec, followed by flags, each (flag, value) given once as the one
+    word flag=value and once as the two words flag value.  Check that both forms
+    give the same exit code, stdout and stderr, and the exit contract; return the
+    exit code and stdout."""
     path = tmp_path_factory.getbasetemp() / "fuzz-spec.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([argv[0], "--spec", str(path), *argv[1:]])
+    outcomes = []
+    for words in ([f"{flag}={value}" for flag, value in flags],
+                  [word for pair in flags for word in pair]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], "--spec", str(path), *argv[1:], *words])
+        outcomes.append((code, out.getvalue(), err.getvalue()))
+    assert outcomes[0] == outcomes[1]
+    code, out, err = outcomes[0]
     assert code in (0, 2, 3)
     if code:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-    return code, out.getvalue()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    return code, out
 
 
 @settings(max_examples=300, deadline=None)
@@ -680,9 +736,8 @@ def test_arbitrary_spec_keeps_exit_contract(tmp_path_factory, command, spec,
     argv = [command]
     if renormalize:
         argv.append("--renormalize")
-    if tol is not None and command != "transform":
-        argv.append(f"--tol={tol!r}")
-    _check_exit_contract(tmp_path_factory, spec, argv)
+    flags = [("--tol", repr(tol))] if tol is not None and command != "transform" else []
+    _check_exit_contract(tmp_path_factory, spec, argv, flags)
 
 
 # Each run command's options, by the spec key; the flag is --<key> with "-" for "_".
@@ -708,7 +763,7 @@ def test_arbitrary_run_spec_keeps_exit_contract(tmp_path_factory, data, command,
     # A valid game and weights in three of four runs, so that exit 0 is common.
     spec = dict(spec or data.draw(st.fixed_dictionaries({"game": GAMES,
                                                          "weights": WEIGHT_VALUES})))
-    argv, options = [command], {}
+    argv, flags, options = [command], [], {}
     if renormalize and command != "scan":
         argv.append("--renormalize")
     odd = data.draw(st.sampled_from([None, *RUN_OPTIONS[command]]), "odd key")
@@ -721,9 +776,10 @@ def test_arbitrary_run_spec_keeps_exit_contract(tmp_path_factory, data, command,
             value = data.draw(RUN_VALUES[key], key)
         if where == "flag":
             text = ",".join(map(repr, value)) if key == "start" else repr(value)
-            argv.append(f"--{key.replace('_', '-')}={text}")
+            flags.append((f"--{key.replace('_', '-')}", text))
         elif where == "spec":
             (spec if key == "start" else options)[key] = value
-    code, out = _check_exit_contract(tmp_path_factory, {**spec, "options": options}, argv)
+    code, out = _check_exit_contract(tmp_path_factory, {**spec, "options": options}, argv,
+                                     flags)
     if code == 0:
         assert out.startswith(",".join(COMMANDS[command].header) + "\n")

@@ -247,6 +247,9 @@ class TestIntegrateBitExact:
         fld = ReplicatorField(1, 3, -2, -1, 1.0, 0.0)
         assert integrate(fld, (-1e-10, 0.4), max_steps=5).xs[1:] == (0.0,) * 5
         assert integrate(fld, (0.4, 1.0 + 1e-10), max_steps=5).ys[1:] == (1.0,) * 5
+        # y just below 0 on a field that keeps it there lands on the y = 0 face
+        fld = ReplicatorField(1, -1, -1, 1, 0.2, -0.2)
+        assert integrate(fld, (0.5, -5e-10), max_steps=1).ys == (-5e-10, 0.0)
 
     def test_first_integral_drift_on_classical_center(self):
         # case c classically: (a, b, c, d) = (1, 3, -2, -1) has a linear

@@ -187,6 +187,18 @@ class TestSimplifiedGame:
         game = SimplifiedGame(1.5, -2.0, 0.75, 3.0)
         assert SimplifiedGame.from_bimatrix(game.to_bimatrix()) == game
 
+    @pytest.mark.parametrize("entries,name", [
+        ({"a12": 1e308, "a22": -1e308}, "a12 - a22"),
+        ({"a21": -1e308, "a11": 1e308}, "a21 - a11"),
+        ({"b12": 1e308, "b22": -1e308}, "b12 - b22"),
+        ({"b21": -1e308, "b11": 1e308}, "b21 - b11"),
+    ])
+    def test_overflowing_reduction_names_its_entries(self, entries, name):
+        full = dataclasses.replace(SimplifiedGame(1, 1, 1, 1).to_bimatrix(), **entries)
+        with pytest.raises(ValidationError) as exc:
+            SimplifiedGame.from_bimatrix(full)
+        assert str(exc.value).startswith(f"{name} must be a finite real, got ")
+
 
 def _reference_weights(w11, w12, w21, w22):
     """The original two-pass construction: store the four fields, then re-read,
