@@ -389,44 +389,49 @@ def _parse_args(argv):
     if command_parser is None:  # no command, -h or an unknown command
         return parser.parse_args(argv)
     args, extras = command_parser.parse_known_args(
-        _join_dash_values(argv[1:], COMMANDS[name].flags))
+        _join_dash_values(argv[1:], COMMANDS[name].flags, command_parser))
     if extras:
         parser.error("unrecognized arguments: " + " ".join(extras))
     args.command = name
     return args
 
 
-def _join_dash_values(argv, flags):
+def _join_dash_values(argv, flags, parser):
     """argv with each value flag joined by "=" to the next word when that word
     starts with a single "-" and is not "-h"; no word after "--" is joined.
 
     argparse would read the word as an option: ``--tol -1e-3`` and ``--out
     -o.json`` fail with "expected one argument".  Only its syntax is tested:
     the flag's type and the library judge the value.  flags are the command's
-    ``Command.flags``.
+    ``Command.flags``, and parser, its parser, refuses a value flag given the
+    value ``--``: argparse drops that value and stores an empty list, on which
+    Pythons before 3.13 crash.
     """
     joined = []
     for i, token in enumerate(argv):
         if token == "--":  # argparse reads every word after it as a positional
             return [*joined, *argv[i:]]
+        if token.endswith("=--") and (name := _value_flag(token[:-3], flags)):
+            parser.error(f"argument {name}: expected one argument")
         if (joined and token.startswith("-") and not token.startswith("--")
-                and token != "-h" and _is_value_flag(joined[-1], flags)):
+                and token != "-h" and _value_flag(joined[-1], flags)):
             joined[-1] += "=" + token
         else:
             joined.append(token)
     return joined
 
 
-def _is_value_flag(token, flags):
-    """Whether argparse reads token as one of flags that takes a value: by its
-    full name, or by a prefix that no other option of the command shares
-    (``--to`` for ``--tol``).  An ambiguous prefix is left to argparse to refuse."""
+def _value_flag(token, flags):
+    """The one of flags that takes a value and that argparse reads token as, or
+    None: by its full name, or by a prefix that no other option of the command
+    shares (``--to`` for ``--tol``).  An ambiguous prefix is left to argparse to
+    refuse."""
     if token in flags:
-        return token in _VALUE_FLAGS
+        return token if token in _VALUE_FLAGS else None
     if not token.startswith("--"):
-        return False
+        return None
     matches = [flag for flag in ("--help", *flags) if flag.startswith(token)]
-    return len(matches) == 1 and matches[0] in _VALUE_FLAGS
+    return matches[0] if len(matches) == 1 and matches[0] in _VALUE_FLAGS else None
 
 
 def main(argv=None):

@@ -33,6 +33,9 @@ DEFAULT_CONVERGENCE_TOL = 1e-10
 CLAMP_GUARD = 1e-9
 # Integration stops once the state wanders this far outside the unit square.
 DOMAIN_MARGIN = 0.1
+# A held sample costs about 112 B (t, x and y floats, in lists and tuples), so
+# one trajectory of this many steps peaks near 1.1 GB.
+MAX_STEPS_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,7 @@ class Trajectory:
 
 def _check_integration_options(step, max_steps, convergence_tol):
     return (_require_tolerance("step", step),
-            _require_count("max_steps", max_steps),
+            _require_count("max_steps", max_steps, maximum=MAX_STEPS_LIMIT),
             _require_tolerance("convergence_tol", convergence_tol, positive=False))
 
 
@@ -118,14 +121,17 @@ def integrate(fld: ReplicatorField, start, step=DEFAULT_STEP,
               convergence_tol=DEFAULT_CONVERGENCE_TOL) -> Trajectory:
     """Integrate with classical fixed-step RK4 from the pair ``start`` = (x, y).
 
-    Stops early once the sup-norm of the velocity drops below
-    ``convergence_tol`` (status "converged") or the state leaves the widened
-    square [-0.1, 1.1]^2 (status "left-domain"); otherwise runs ``max_steps``
-    steps (status "max-steps").  After each step a coordinate within
-    ``CLAMP_GUARD`` outside [0, 1] is pulled back onto the face.
+    Before each step, and at the state after the last one, two stop tests run
+    in this order.  The orbit is "converged" once the sup-norm of the velocity
+    is below ``convergence_tol``: both ``|dx/dt|`` and ``|dy/dt|`` are below
+    it, which a NaN velocity never is and which a ``convergence_tol`` <= 0
+    never allows.  It is "left-domain" once the state is not inside the
+    widened square [-0.1, 1.1]^2, a NaN state included.  Otherwise it runs
+    ``max_steps`` steps (status "max-steps"); ``max_steps`` is at most
+    ``MAX_STEPS_LIMIT``.  After each step a coordinate within ``CLAMP_GUARD``
+    outside [0, 1] is pulled back onto the face.
     """
-    step, max_steps, convergence_tol = _check_integration_options(
-        step, max_steps, convergence_tol)
+    step, max_steps, tol = _check_integration_options(step, max_steps, convergence_tol)
     x, y = _require_pair("start", start)
     x, y = _require_finite("start x", x), _require_finite("start y", y)
 
@@ -142,7 +148,8 @@ def integrate(fld: ReplicatorField, start, step=DEFAULT_STEP,
     for n in range(max_steps + 1):
         k1x = x * (1.0 - x) * (p + q * y)
         k1y = y * (1.0 - y) * (r + s * x)
-        if max(abs(k1x), abs(k1y)) < convergence_tol:
+        # |v| < tol as chained compares, which a NaN velocity never passes.
+        if -tol < k1x < tol and -tol < k1y < tol:
             status = "converged"
             break
         if not (lo <= x <= hi and lo <= y <= hi):
@@ -162,14 +169,19 @@ def integrate(fld: ReplicatorField, start, step=DEFAULT_STEP,
         x = x + h * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
         y = y + h * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
         # Pull integration noise back onto the faces; genuine excursions are kept.
-        if near0 < x < 0.0:
-            x = 0.0
-        elif 1.0 < x < near1:
-            x = 1.0
-        if near0 < y < 0.0:
-            y = 0.0
-        elif 1.0 < y < near1:
-            y = 1.0
+        # Nested, so that a coordinate inside [0, 1] costs two compares.
+        if x < 0.0:
+            if x > near0:
+                x = 0.0
+        elif x > 1.0:
+            if x < near1:
+                x = 1.0
+        if y < 0.0:
+            if y > near0:
+                y = 0.0
+        elif y > 1.0:
+            if y < near1:
+                y = 1.0
         xs.append(x)
         ys.append(y)
     times = tuple([i * step for i in range(len(xs))])

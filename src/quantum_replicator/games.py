@@ -69,11 +69,15 @@ def _require_tolerance(name, value, positive=True):
     return v
 
 
-def _require_count(name, value, minimum=1):
-    """A count as an int of at least ``minimum``; a bool or a float fails."""
+def _require_count(name, value, minimum=1, maximum=None):
+    """A count as an int of at least ``minimum`` and, if given, at most
+    ``maximum``; a bool or a float fails."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         least = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
         raise ValidationError(f"{name} must be {least}, got {value!r}")
+    if maximum is not None and value > maximum:
+        # No "got {value}": Python 3.11+ refuses str() of an int over 4300 digits.
+        raise ValidationError(f"{name} must be at most {maximum}")
     return value
 
 

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quantum_replicator
-from quantum_replicator.cli import (COMMANDS, CSV_CHUNK_ROWS, _emit_json, _parse_args,
-                                    build_parser, main)
+from quantum_replicator.cli import (_VALUE_FLAGS, COMMANDS, CSV_CHUNK_ROWS, _emit_json,
+                                    _parse_args, build_parser, main)
 from quantum_replicator.dynamics import ReplicatorField, integrate, phase_portrait
 from quantum_replicator.ess import compare_classical_quantum
 from quantum_replicator.games import (ClassicalBimatrix, InitialStateWeights,
@@ -166,7 +166,10 @@ class TestSimulate:
     @pytest.mark.parametrize("spec,start,options,status", [
         (CLASSICAL_C_SPEC, (0.3, 0.3), {"step": 0.3, "max_steps": 5000}, "max-steps"),
         (CASE_A_SPEC, (-0.1, 0.5), {}, "left-domain"),
-    ], ids=["max-steps", "left-domain"])
+        # the y velocity is NaN, the x velocity 0: not converged
+        ({"game": {"a": 1, "b": -1, "c": 0, "d": 1}, "weights": [1, 0, 0, 0]},
+         (0.0, 1e200), {}, "left-domain"),
+    ], ids=["max-steps", "left-domain", "nan-velocity"])
     def test_csv_matches_the_trajectory(self, spec_file, tmp_path, capsys, spec, start,
                                         options, status):
         out_path = tmp_path / "traj.csv"
@@ -233,7 +236,8 @@ class TestPortrait:
         assert out == "\n".join(["id,t,x,y", *rows]) + "\n"
 
     @pytest.mark.parametrize("flag,value", [
-        ("--grid", "1"), ("--step", "0"), ("--max-steps", "0"), ("--tol", "nan")])
+        ("--grid", "1"), ("--step", "0"), ("--max-steps", "0"), ("--tol", "nan"),
+        ("--max-steps", "10000001")])
     @pytest.mark.parametrize("existing", [b"kept\n", None], ids=["existing", "missing"])
     def test_invalid_option_leaves_out_untouched(self, spec_file, tmp_path, capsys, flag,
                                                  value, existing):
@@ -477,6 +481,23 @@ def test_dash_value_is_judged_by_the_flag_type(capsys):
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(
         "error: argument --tol: invalid float value: '-abc'\n")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    *(([name, "a"] if name == "demo" else [name], flag)
+      for name, command in COMMANDS.items() for flag in command.flags
+      if flag in _VALUE_FLAGS),
+    (["classify"], "--to"),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_double_dash_value_is_refused(capsys, argv, flag):
+    # argparse drops a "--" value and stores an empty list, on which some
+    # Pythons crash and others read "--" as the value.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"{flag}=--"])
+    assert exc.value.code == 2
+    full = next(name for name in _VALUE_FLAGS if name.startswith(flag))
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {full}: expected one argument\n")
 
 
 def _parse_outcome(capsys, parse, argv):

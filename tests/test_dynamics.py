@@ -1,7 +1,8 @@
 import math
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quantum_replicator import (
     InitialStateWeights,
@@ -13,7 +14,8 @@ from quantum_replicator import (
     phase_portrait,
     quantum_transform,
 )
-from quantum_replicator.dynamics import DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS
+from quantum_replicator.dynamics import (DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS,
+                                         MAX_STEPS_LIMIT)
 
 from conftest import make_weights
 
@@ -23,12 +25,19 @@ payoffs = st.floats(min_value=-5, max_value=5, allow_nan=False)
 ks = st.floats(min_value=-1, max_value=1, allow_nan=False)
 fields = st.builds(ReplicatorField, payoffs, payoffs, payoffs, payoffs, ks, ks)
 coords = st.floats(min_value=-0.5, max_value=1.5, allow_nan=False)
+# Payoffs up to 1e300 overflow the field within a few steps.
+wide_payoffs = st.one_of(payoffs, st.floats(min_value=-1e300, max_value=1e300))
+# Starts on the faces, inside and outside the widened square [-0.1, 1.1]^2.
+wide_coords = st.one_of(st.sampled_from([0.0, 1.0, 1e200]),
+                        st.floats(min_value=-0.1, max_value=1.1), coords,
+                        st.floats(min_value=-1e200, max_value=1e200))
 
 
 def textbook_integrate(fld, start, h, max_steps, convergence_tol):
     """Classical RK4 built on field_eval, with the face clamp of integrate.
 
-    Mirrors the documented stop rules so integrate can be compared bit for bit.
+    Mirrors the documented stop rules so integrate can be compared bit for bit:
+    both |velocity| below the tolerance, so a NaN velocity never converges.
     """
 
     def clamp(v):
@@ -42,7 +51,7 @@ def textbook_integrate(fld, start, h, max_steps, convergence_tol):
     times, xs, ys = [0.0], [x], [y]
     for n in range(max_steps + 1):
         vx, vy = field_eval(fld, x, y)
-        if max(abs(vx), abs(vy)) < convergence_tol:
+        if abs(vx) < convergence_tol and abs(vy) < convergence_tol:
             return times, xs, ys, "converged"
         if not (-0.1 <= x <= 1.1 and -0.1 <= y <= 1.1):
             return times, xs, ys, "left-domain"
@@ -171,10 +180,36 @@ class TestIntegrate:
         with pytest.raises(ValidationError, match=message):
             integrate(CASE_A_QUANTUM, **{"start": (0.5, 0.5), "max_steps": 10, **options})
 
+    @pytest.mark.parametrize("max_steps", [MAX_STEPS_LIMIT + 1, 10**400])
+    def test_step_limit_refused_before_any_allocation(self, max_steps):
+        message = "^max_steps must be at most 10000000$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=message):
+                integrate(CASE_A_QUANTUM, (0.5, 0.5), max_steps=max_steps)
+            with pytest.raises(ValidationError, match=message):
+                phase_portrait(CASE_A_QUANTUM, 2, max_steps=max_steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_step_limit_accepted(self):
+        traj = integrate(CASE_A_QUANTUM, (1.0, 0.0), max_steps=MAX_STEPS_LIMIT)
+        assert traj.status == "converged"
+
     @pytest.mark.parametrize("start", [(0.5,), 0.5, (0.5, 0.5, 0.9), None, "xy"])
     def test_start_not_a_pair_rejected(self, start):
         with pytest.raises(ValidationError, match="start must be a pair of numbers"):
             integrate(CASE_A_QUANTUM, start, max_steps=10)
+
+    @pytest.mark.parametrize("start", [(0.0, 1e200), (1e200, 0.0)])
+    def test_nan_velocity_never_converges(self, start):
+        # From (0, 1e200) the y velocity is inf * -0.0 = NaN and the x velocity
+        # is 0; from the mirrored start the x velocity is -inf.  Neither is a
+        # sup-norm below the tolerance, so both starts leave the domain.
+        traj = integrate(ReplicatorField(1, -1, 0, 1), start)
+        assert (traj.status, len(traj)) == ("left-domain", 1)
 
     def test_corner_start_converges_immediately(self):
         traj = integrate(CASE_A_QUANTUM, (1.0, 0.0))
@@ -242,6 +277,30 @@ class TestIntegrateBitExact:
         assert traj.times == tuple(times)
         assert traj.xs == tuple(xs)
         assert traj.ys == tuple(ys)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fld=st.builds(ReplicatorField, wide_payoffs, wide_payoffs, wide_payoffs,
+                         wide_payoffs, ks, ks),
+           start=st.tuples(wide_coords, wide_coords),
+           step=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+           max_steps=st.integers(min_value=1, max_value=60),
+           convergence_tol=st.one_of(st.sampled_from([0.0, -0.0, 1e-10, -1e-10]),
+                                     st.floats(min_value=-1.0, max_value=1.0)))
+    # A NaN velocity on one axis only is too rare to draw; see
+    # test_nan_velocity_never_converges.
+    @example(fld=ReplicatorField(1, -1, 0, 1), start=(0.0, 1e200), step=0.01,
+             max_steps=5, convergence_tol=1e-10)
+    def test_matches_textbook_rk4_for_any_field(self, fld, start, step, max_steps,
+                                                convergence_tol):
+        traj = integrate(fld, start, step=step, max_steps=max_steps,
+                         convergence_tol=convergence_tol)
+        times, xs, ys, status = textbook_integrate(fld, start, step, max_steps,
+                                                   convergence_tol)
+        # repr, so that NaN samples compare equal and -0.0 differs from 0.0
+        assert traj.status == status
+        assert list(map(repr, traj.times)) == list(map(repr, times))
+        assert list(map(repr, traj.xs)) == list(map(repr, xs))
+        assert list(map(repr, traj.ys)) == list(map(repr, ys))
 
     def test_clamp_cases_land_on_faces(self):
         fld = ReplicatorField(1, 3, -2, -1, 1.0, 0.0)
