@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .games import (InitialStateWeights, SimplifiedGame, _require_count, _require_finite,
-                    _require_pair, _require_real, _require_tolerance, k_params)
+from .games import (InitialStateWeights, SimplifiedGame, _FiniteRecord, _require_count,
+                    _require_finite, _require_pair, _require_real, _require_tolerance,
+                    k_params)
 
 __all__ = [
     "ReplicatorField",
@@ -39,7 +40,7 @@ MAX_STEPS_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
-class ReplicatorField:
+class ReplicatorField(_FiniteRecord):
     """Planar replicator field for reduced payoffs (a, b, c, d) and state (K1, K2).
 
     dx/dt = x(1-x) [a K1 + b K2 - (a+b)(K1+K2) y]
@@ -52,10 +53,6 @@ class ReplicatorField:
     d: float
     K1: float = 1.0
     K2: float = 0.0
-
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
 
     @classmethod
     def classical(cls, game: SimplifiedGame) -> "ReplicatorField":

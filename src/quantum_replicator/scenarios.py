@@ -31,6 +31,11 @@ __all__ = [
     "scan_flip",
 ]
 
+# A hit held by the scan command costs about 430 B (its weights record, its list
+# entry and its CSV line), so a scan of this resolution, with C(253, 3) = 2.67e6
+# lattice points, peaks near 1.1 GB when every point is a hit.
+RESOLUTION_LIMIT = 250
+
 
 @dataclass(frozen=True)
 class Check:
@@ -154,8 +159,9 @@ def scan_flip(game: SimplifiedGame, resolution: int):
     Enumerates all weight tuples (k11, k12, k21, k22)/resolution with integer
     parts summing to ``resolution``, in lexicographic order, and returns the
     (weights, flip) pairs whose classical-vs-quantum comparison flips.
+    ``resolution`` is at most ``RESOLUTION_LIMIT``.
     """
-    r = _require_count("resolution", resolution)
+    r = _require_count("resolution", resolution, maximum=RESOLUTION_LIMIT)
     classical = verdict_10(game, InitialStateWeights.classical())
     classical_ess, classical_attractor = classical.is_ess, classical.is_attractor
     # flips[is_ess][is_attractor]: the label of each outcome, decided once by _flip.

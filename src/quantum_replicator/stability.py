@@ -7,7 +7,8 @@ import math
 from dataclasses import dataclass
 
 from .dynamics import ReplicatorField
-from .games import ValidationError, _require_pair, _require_real, _require_tolerance
+from .games import (ValidationError, _require_finite, _require_pair, _require_real,
+                    _require_tolerance)
 
 __all__ = [
     "Equilibrium",
@@ -72,8 +73,8 @@ def interior_point(fld: ReplicatorField):
         return None, "a+b = 0"
     if abs(cd) <= DENOMINATOR_TOL:
         return None, "c+d = 0"
-    x = (fld.c * fld.K1 + fld.d * fld.K2) / (cd * ksum)
-    y = (fld.a * fld.K1 + fld.b * fld.K2) / (ab * ksum)
+    x = fld.y_constant / (cd * ksum)
+    y = fld.x_constant / (ab * ksum)
     return (x, y), None
 
 
@@ -155,6 +156,11 @@ def classify(eigs, zero_tol=DEFAULT_ZERO_TOL):
 
 def corner_roots_10(a, b, c, d, K1, K2):
     """Linearization roots at the corner (1, 0): (-a K1 - b K2, -c K2 - d K1)."""
+    # A ReplicatorField's checks without building one, which would cost more; and
+    # its -x_constant can differ from the first root in the sign of a zero.
+    a, b, c, d = (_require_finite("a", a), _require_finite("b", b),
+                  _require_finite("c", c), _require_finite("d", d))
+    K1, K2 = _require_finite("K1", K1), _require_finite("K2", K2)
     return (-a * K1 - b * K2, -c * K2 - d * K1)
 
 
@@ -171,8 +177,7 @@ def interior_lambda_sq(a, b, c, d, K1, K2):
         raise ValidationError(f"{reason}: no interior rest point")
     a, b, c, d, K1, K2 = fld.a, fld.b, fld.c, fld.d, fld.K1, fld.K2
     ab, cd, ksum = a + b, c + d, K1 + K2
-    num = ((a * K1 + b * K2) * (a * K2 + b * K1)
-           * (c * K1 + d * K2) * (c * K2 + d * K1))
+    num = fld.x_constant * (a * K2 + b * K1) * fld.y_constant * (c * K2 + d * K1)
     return num / (ab * cd * ksum * ksum)
 
 

@@ -15,11 +15,12 @@ from hypothesis import given, settings, strategies as st
 import quantum_replicator
 from quantum_replicator.cli import (_VALUE_FLAGS, COMMANDS, CSV_CHUNK_ROWS, _emit_json,
                                     _parse_args, build_parser, main)
-from quantum_replicator.dynamics import ReplicatorField, integrate, phase_portrait
+from quantum_replicator.dynamics import (MAX_STEPS_LIMIT, ReplicatorField, integrate,
+                                         phase_portrait)
 from quantum_replicator.ess import compare_classical_quantum
 from quantum_replicator.games import (ClassicalBimatrix, InitialStateWeights,
                                       SimplifiedGame, quantum_transform)
-from quantum_replicator.scenarios import make_case
+from quantum_replicator.scenarios import RESOLUTION_LIMIT, make_case
 from quantum_replicator.stability import linearize
 
 CASE_A_SPEC = {"game": {"a": 1, "b": -1, "c": -1, "d": 1},
@@ -287,6 +288,28 @@ class TestScan:
         _, out1, _ = run(capsys, "scan", "--spec", spec, "--resolution", "8")
         _, out2, _ = run(capsys, "scan", "--spec", spec, "--resolution", "8")
         assert out1 == out2
+
+    @pytest.mark.parametrize("form", ["flag", "spec"])
+    @pytest.mark.parametrize("resolution", [RESOLUTION_LIMIT + 1, 10**400])
+    def test_resolution_limit_refused_before_any_allocation(self, spec_file, tmp_path,
+                                                            capsys, resolution, form):
+        out_path = tmp_path / "scan.csv"
+        out_path.write_bytes(b"kept\n")
+        if form == "flag":
+            argv = ["--spec", spec_file(CASE_A_SPEC), "--resolution", str(resolution)]
+        else:
+            spec = {**CASE_A_SPEC, "options": {"resolution": resolution}}
+            argv = ["--spec", spec_file(spec)]
+        build_parser()
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "scan", *argv, "--out", str(out_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (2, "", "error: resolution must be at most 250\n")
+        assert out_path.read_bytes() == b"kept\n"
+        assert peak < 64 * 1024
 
 
 class TestDemo:
@@ -632,6 +655,21 @@ class TestMalformedSpec:
         code, out, err = run(capsys, *command.split(), "--spec", spec_file(spec))
         assert (code, out, err) == (2, "", f"error: {error}\n")
 
+    @pytest.mark.parametrize("weights,flags,error", [
+        ([3, -1, 1, 2], ["--renormalize"], "weights must be nonnegative"),
+        ([0, 0, 0, 0], ["--renormalize"], "weights must not all be zero"),
+        ({"w11": 0.3, "w12": 0.4, "w21": 0.3}, [], "weights is missing w22"),
+    ])
+    @pytest.mark.parametrize("command", ["transform", "portrait --grid 2 --max-steps 5"])
+    def test_weights_refused_leaves_out_untouched(self, spec_file, tmp_path, capsys,
+                                                  command, weights, flags, error):
+        out_path = tmp_path / "out.txt"
+        out_path.write_bytes(b"kept\n")
+        code, out, err = run(capsys, *command.split(), *flags, "--out", str(out_path),
+                             "--spec", spec_file({**CASE_A_SPEC, "weights": weights}))
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+        assert out_path.read_bytes() == b"kept\n"
+
     @pytest.mark.parametrize("data", [b"{", b"[" * 100_000, b"\xff"])
     def test_unparsable_file_exits_2(self, tmp_path, capsys, data):
         path = tmp_path / "spec.json"
@@ -762,14 +800,17 @@ def test_arbitrary_spec_keeps_exit_contract(tmp_path_factory, command, spec,
 
 
 # Each run command's options, by the spec key; the flag is --<key> with "-" for "_".
-# Every size is small and always given, since the defaults run 10**5 steps per orbit.
+# Every size is always given, since the defaults run 10**5 steps per orbit, and is
+# either small or above its limit, up to 10**400, which must exit 2 before any work.
 RUN_OPTIONS = {"simulate": ("start", "step", "max_steps", "tol"),
                "portrait": ("step", "max_steps", "grid", "tol"),
                "scan": ("resolution",)}
+SIZE_LIMITS = {"max_steps": MAX_STEPS_LIMIT, "resolution": RESOLUTION_LIMIT}
 RUN_VALUES = {"start": st.tuples(st.floats(0, 1) | st.floats(), st.floats(0, 1) | st.floats()),
               "step": st.floats(1e-3, 1) | st.floats(), "tol": st.floats(),
-              "max_steps": st.integers(1, 50), "grid": st.integers(2, 4),
-              "resolution": st.integers(1, 8)}
+              "max_steps": st.integers(1, 50) | st.integers(MAX_STEPS_LIMIT + 1, 10**400),
+              "grid": st.integers(2, 4),
+              "resolution": st.integers(1, 8) | st.integers(RESOLUTION_LIMIT + 1, 10**400)}
 # What a spec may hold instead, for at most one key: no integer above 3.
 ODD_VALUES = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
               | st.text(max_size=4) | st.lists(st.integers(-3, 3) | st.floats(), max_size=3))
@@ -788,6 +829,7 @@ def test_arbitrary_run_spec_keeps_exit_contract(tmp_path_factory, data, command,
     if renormalize and command != "scan":
         argv.append("--renormalize")
     odd = data.draw(st.sampled_from([None, *RUN_OPTIONS[command]]), "odd key")
+    oversize = False
     for key in RUN_OPTIONS[command]:
         if key == odd:
             where, value = "spec", data.draw(ODD_VALUES, key)
@@ -795,6 +837,7 @@ def test_arbitrary_run_spec_keeps_exit_contract(tmp_path_factory, data, command,
             places = ["flag", "spec", "absent"] if key in ("step", "tol") else ["flag", "spec"]
             where = data.draw(st.sampled_from(places), key)
             value = data.draw(RUN_VALUES[key], key)
+            oversize = oversize or key in SIZE_LIMITS and value > SIZE_LIMITS[key]
         if where == "flag":
             text = ",".join(map(repr, value)) if key == "start" else repr(value)
             flags.append((f"--{key.replace('_', '-')}", text))
@@ -802,5 +845,7 @@ def test_arbitrary_run_spec_keeps_exit_contract(tmp_path_factory, data, command,
             (spec if key == "start" else options)[key] = value
     code, out = _check_exit_contract(tmp_path_factory, {**spec, "options": options}, argv,
                                      flags)
+    if oversize:
+        assert code == 2
     if code == 0:
         assert out.startswith(",".join(COMMANDS[command].header) + "\n")

@@ -40,6 +40,14 @@ class TestValidation:
         s = InitialStateWeights.renormalized(3, 4, 1, 2)
         assert s.as_tuple() == (0.3, 0.4, 0.1, 0.2)
 
+    @pytest.mark.parametrize("weights, message", [
+        ((3, -1, 1, 2), "weights must be nonnegative"),
+        ((0, 0, -0.0, 0.0), "weights must not all be zero"),
+    ])
+    def test_renormalized_refuses(self, weights, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            InitialStateWeights.renormalized(*weights)
+
     def test_renormalized_when_the_sum_overflows(self):
         s = InitialStateWeights.renormalized(1e308, 1e308, 0, 0)
         assert s.as_tuple() == (0.5, 0.5, 0.0, 0.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -15,7 +16,7 @@ from quantum_replicator import (
     make_case_c,
     scan_flip,
 )
-from quantum_replicator.scenarios import Check
+from quantum_replicator.scenarios import RESOLUTION_LIMIT, Check
 from quantum_replicator.stability import DEFAULT_ZERO_TOL
 
 # Any finite float, plus small integers and multiples of the sign
@@ -150,6 +151,17 @@ class TestScan:
     def test_non_integer_resolution_rejected(self, resolution):
         with pytest.raises(ValidationError, match="positive integer"):
             scan_flip(SimplifiedGame(1, -1, -1, 1), resolution)
+
+    @pytest.mark.parametrize("resolution", [RESOLUTION_LIMIT + 1, 10**400])
+    def test_resolution_limit_refused_before_any_allocation(self, resolution):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="^resolution must be at most 250$"):
+                scan_flip(SimplifiedGame(1, -1, -1, 1), resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     @pytest.mark.parametrize("game", [SimplifiedGame(1, -1, -1, 1),
                                       SimplifiedGame(1, -1, 1, 2),

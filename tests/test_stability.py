@@ -254,10 +254,14 @@ class TestInteriorLambdaSq:
         ((1, 3, -2, -1, True, 0.0), "K1 must be a real number, got True"),
         ((float("nan"), 3, -2, -1, 1.0, 0.0), "a must be a finite real, got nan"),
         ((1, 3, -2, -1, 1.0, float("-inf")), "K2 must be a finite real, got -inf"),
+        ((True, 0, 0, 0, 1.0, 0.0), "a must be a real number, got True"),
+        ((1, 3, -2, 10**400, 1.0, 0.0), "d must be a finite real, got an integer too"),
     ])
     def test_numbers_checked(self, args, message):
-        with pytest.raises(ValidationError, match=message):
-            interior_lambda_sq(*args)
+        # Both closed forms check the six numbers as a ReplicatorField does.
+        for closed_form in (corner_roots_10, interior_lambda_sq):
+            with pytest.raises(ValidationError, match=message):
+                closed_form(*args)
 
     def test_matches_jacobian_eigenvalues(self, rng):
         checked = 0
