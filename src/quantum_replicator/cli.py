@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional
 
 from .dynamics import (DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS, DEFAULT_STEP,
-                       ReplicatorField, Trajectory, _orbits, integrate)
+                       ReplicatorField, _orbits, integrate)
 from .ess import compare_classical_quantum
 from .games import (ClassicalBimatrix, InitialStateWeights, SimplifiedGame,
                     ValidationError, k_params, quantum_transform)
@@ -212,12 +212,11 @@ def _write_file(path, pieces):
 
 
 def _csv_chunks(header, lines):
-    """The CSV text in pieces of at most CSV_CHUNK_ROWS lines, header first."""
+    """The CSV text: the header line, then pieces of at most CSV_CHUNK_ROWS lines."""
+    yield ",".join(header) + "\n"
     lines = iter(lines)
-    chunk = [",".join(header), *islice(lines, CSV_CHUNK_ROWS - 1)]
-    while chunk:
+    while chunk := list(islice(lines, CSV_CHUNK_ROWS)):
         yield _csv_piece(chunk)
-        chunk = list(islice(lines, CSV_CHUNK_ROWS))
 
 
 def _csv_piece(lines):
@@ -244,7 +243,7 @@ def _transform(args, spec):
     state = _parse_weights(spec, args.renormalize)
     pair = quantum_transform(game, state)
     k = k_params(state)
-    return {"omega": pair.omega, "chi": pair.chi, "K1": k.K1, "K2": k.K2}
+    return {"omega": pair.omega, "chi": pair.chi, "K1": k.K1, "K2": k.K2}, None
 
 
 def _classify(args, spec):
@@ -265,20 +264,22 @@ def _classify(args, spec):
                 f"is degenerate at tol {tol}" for r in reports if r.tag == DEGENERATE]
     if warnings:
         payload["warnings"] = warnings
-    return payload
+    return payload, None
 
 
 def _ess(args, spec):
     game = _parse_game(spec)
     state = _parse_weights(spec, args.renormalize)
     tol = _option(args, spec, "tol", DEFAULT_ZERO_TOL)
-    return compare_classical_quantum(game, state, tol=tol)
+    return compare_classical_quantum(game, state, tol=tol), None
 
 
 def _simulate(args, spec):
     fld = _field(args, spec)
     start = _parse_start(args, spec)
-    return integrate(fld, start, **_integration_options(args, spec))
+    traj = integrate(fld, start, **_integration_options(args, spec))
+    return (_orbit_lines([traj], [""]),
+            f"status: {traj.status} after {len(traj) - 1} steps\n")
 
 
 def _portrait(args, spec):
@@ -286,7 +287,7 @@ def _portrait(args, spec):
     grid_n = _option(args, spec, "grid", 5)
     orbits = _orbits(fld, grid_n, **_integration_options(args, spec))
     # ids count the trajectories drawn, so they stay consecutive over skipped seeds
-    return _orbit_lines(orbits, (f"{tid}," for tid in count()))
+    return _orbit_lines(orbits, (f"{tid}," for tid in count())), None
 
 
 def _scan(args, spec):
@@ -295,8 +296,8 @@ def _scan(args, spec):
     hits = scan_flip(game, r)
     # Every weight is some k / r: format each of them once, not once per cell.
     cell = {k / r: str(k / r) for k in range(r + 1)}
-    return [f"{cell[s.w11]},{cell[s.w12]},{cell[s.w21]},{cell[s.w22]},{flip}"
-            for s, flip in hits]
+    return (f"{cell[s.w11]},{cell[s.w12]},{cell[s.w21]},{cell[s.w22]},{flip}"
+            for s, flip in hits), None
 
 
 def _demo(args, spec):
@@ -307,7 +308,7 @@ def _demo(args, spec):
         "weights": instance.state,
         "checks": instance.verification,
         "comparison": compare_classical_quantum(instance.game, instance.state),
-    }
+    }, None
 
 
 FLAGS = {
@@ -329,7 +330,7 @@ _VALUE_FLAGS = frozenset(flag for flag, kwargs in FLAGS.items()
 
 
 class Command(NamedTuple):
-    handler: Callable  # (args, spec) -> JSON payload, CSV lines or a Trajectory
+    handler: Callable  # (args, spec) -> (JSON payload or CSV lines, stderr line or None)
     help: str
     flags: tuple
     header: Optional[tuple] = None  # CSV header; None for a JSON report
@@ -440,18 +441,14 @@ def main(argv=None):
     args = _parse_args(argv)
     command = COMMANDS[args.command]
     try:
-        output = command.handler(args, _load_spec(getattr(args, "spec", None)))
-        status = None
-        if isinstance(output, Trajectory):
-            status = f"status: {output.status} after {len(output) - 1} steps\n"
-            output = _orbit_lines([output], [""])
+        output, note = command.handler(args, _load_spec(getattr(args, "spec", None)))
         if command.header is None:
             pieces = [_emit_json(output)]
         else:
             pieces = _csv_chunks(command.header, output)
         _write_file(args.out, pieces)
-        if status is not None:
-            sys.stderr.write(status)
+        if note is not None:
+            sys.stderr.write(note)
         return EXIT_OK
     except ValidationError as exc:
         name, space, rest = str(exc).partition(" ")

@@ -35,8 +35,12 @@ CLAMP_GUARD = 1e-9
 # Integration stops once the state wanders this far outside the unit square.
 DOMAIN_MARGIN = 0.1
 # A held sample costs about 112 B (t, x and y floats, in lists and tuples), so
-# one trajectory of this many steps peaks near 1.1 GB.
+# one trajectory of this many steps peaks near 1.1 GB; the CLI's simulate, which
+# also keeps each t cell of its CSV, holds about 170 B a sample, near 1.7 GB.
 MAX_STEPS_LIMIT = 10_000_000
+# Seeds per axis of a portrait.  Its 10**6 orbits take about 15 s even at one
+# step each (about 15 us an orbit, with a 100 MB CSV from the CLI).
+GRID_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -191,7 +195,7 @@ def phase_portrait(fld: ReplicatorField, grid_n: int, step=DEFAULT_STEP,
     """Integrate one trajectory per seed of a grid_n x grid_n lattice in (0,1)^2.
 
     Seeds landing exactly on an equilibrium are skipped; output order follows
-    the lattice (row-major in x, then y).
+    the lattice (row-major in x, then y).  ``grid_n`` is at most ``GRID_LIMIT``.
     """
     return list(_orbits(fld, grid_n, step, max_steps, convergence_tol))
 
@@ -201,7 +205,7 @@ def _orbits(fld, grid_n, step, max_steps, convergence_tol):
 
     The arguments are checked on the call, before any trajectory is asked for.
     """
-    grid_n = _require_count("grid_n", grid_n, minimum=2)
+    grid_n = _require_count("grid_n", grid_n, minimum=2, maximum=GRID_LIMIT)
     # Checked here too, for a portrait whose every seed is skipped.
     _check_integration_options(step, max_steps, convergence_tol)
     seeds = (((i + 1) / (grid_n + 1), (j + 1) / (grid_n + 1))

@@ -31,9 +31,10 @@ __all__ = [
     "scan_flip",
 ]
 
-# A hit held by the scan command costs about 430 B (its weights record, its list
-# entry and its CSV line), so a scan of this resolution, with C(253, 3) = 2.67e6
-# lattice points, peaks near 1.1 GB when every point is a hit.
+# A hit held by the scan command costs about 340 B at resolution 60 and 310 B at
+# 120 (its weights record and list entry; its CSV line is held only within its
+# chunk), so a scan of this resolution, with C(253, 3) = 2.67e6 lattice points,
+# peaks near 0.83 GB when every point is a hit.
 RESOLUTION_LIMIT = 250
 
 

@@ -109,10 +109,17 @@ def jacobian(fld: ReplicatorField, point):
 def eigenvalues(matrix):
     """Roots of the 2x2 characteristic polynomial, as a complex pair.
 
+    ``matrix`` is a pair of rows ((m11, m12), (m21, m22)) of real numbers.
     Uses the numerically stable quadratic formula (no cancellation between
     -trace and the discriminant root).
     """
-    (xx, xy), (yx, yy) = matrix
+    row1, row2 = _require_pair("matrix", matrix)
+    xx, xy = _require_pair("matrix row 1", row1)
+    yx, yy = _require_pair("matrix row 2", row2)
+    # Plain floats, as jacobian gives them, need neither the type check nor float().
+    if not type(xx) is type(xy) is type(yx) is type(yy) is float:
+        xx, xy = _require_real("m11", xx), _require_real("m12", xy)
+        yx, yy = _require_real("m21", yx), _require_real("m22", yy)
     tr = xx + yy
     det = xx * yy - xy * yx
     disc = tr * tr - 4.0 * det
@@ -128,14 +135,19 @@ def eigenvalues(matrix):
 
 
 def classify(eigs, zero_tol=DEFAULT_ZERO_TOL):
-    """Tag an eigenvalue pair per the standard planar taxonomy.
+    """Tag an eigenvalue pair, two real or complex numbers, per the standard
+    planar taxonomy.
 
     Anything within ``zero_tol`` of the non-hyperbolic boundary is declared
     degenerate (real roots) or a linear center (imaginary pair) rather than
     guessed; linearization cannot decide those cases.
     """
     zero_tol = _require_tolerance("zero_tol", zero_tol)
-    l1, l2 = complex(eigs[0]), complex(eigs[1])
+    # A complex passes as it is, NaN and infinite parts included (linearize can
+    # give them for a field that overflows).
+    l1, l2 = _require_pair("eigs", eigs)
+    l1 = l1 if isinstance(l1, complex) else complex(_require_real("eigenvalue", l1))
+    l2 = l2 if isinstance(l2, complex) else complex(_require_real("eigenvalue", l2))
     real_pair = abs(l1.imag) <= zero_tol and abs(l2.imag) <= zero_tol
     if real_pair:
         r1, r2 = l1.real, l2.real

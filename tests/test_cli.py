@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 import quantum_replicator
 from quantum_replicator.cli import (_VALUE_FLAGS, COMMANDS, CSV_CHUNK_ROWS, _emit_json,
                                     _parse_args, build_parser, main)
-from quantum_replicator.dynamics import (MAX_STEPS_LIMIT, ReplicatorField, integrate,
-                                         phase_portrait)
+from quantum_replicator import dynamics
+from quantum_replicator.dynamics import (GRID_LIMIT, MAX_STEPS_LIMIT, ReplicatorField,
+                                         integrate, phase_portrait)
 from quantum_replicator.ess import compare_classical_quantum
 from quantum_replicator.games import (ClassicalBimatrix, InitialStateWeights,
                                       SimplifiedGame, quantum_transform)
@@ -187,6 +188,24 @@ class TestSimulate:
         assert (code, out) == (0, "\n".join(["t,x,y", *rows]) + "\n")
         assert out_path.read_text() == out
 
+    def test_memory_per_sample(self, spec_file, tmp_path):
+        # The samples, their t cells and the 4096-row CSV chunk are held, not the
+        # CSV lines: each further sample raises the peak by about 170 B, against
+        # 112 B for integrate alone.  Both orbits fill a chunk and end max-steps.
+        spec = spec_file(CLASSICAL_C_SPEC)
+        build_parser()
+        peaks = []
+        for steps in (5_000, 25_000):
+            tracemalloc.start()
+            try:
+                code = main(["simulate", "--spec", spec, "--start", "0.3,0.3",
+                             "--max-steps", str(steps), "--out", str(tmp_path / "t.csv")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert (peaks[1] - peaks[0]) / 20_000 < 190
+
 
 class TestPortrait:
     def test_header_and_ids(self, spec_file, tmp_path, capsys):
@@ -254,6 +273,25 @@ class TestPortrait:
         else:
             assert out_path.read_bytes() == existing
 
+    @pytest.mark.parametrize("form", ["flag", "spec"])
+    @pytest.mark.parametrize("grid", [GRID_LIMIT + 1, 10**400], ids=["limit+1", "1e400"])
+    def test_grid_limit_refused_before_the_first_seed(self, spec_file, tmp_path, capsys,
+                                                      monkeypatch, grid, form):
+        def no_orbit(*args, **kwargs):
+            raise AssertionError("a seed was integrated")
+        monkeypatch.setattr(dynamics, "integrate", no_orbit)
+        out_path = tmp_path / "portrait.csv"
+        out_path.write_bytes(b"kept\n")
+        if form == "flag":
+            argv = ["--spec", spec_file(CASE_A_SPEC), "--grid", str(grid)]
+        else:
+            spec = {**CASE_A_SPEC, "options": {"grid": grid}}
+            argv = ["--spec", spec_file(spec)]
+        code, out, err = run(capsys, "portrait", *argv, "--max-steps", "1",
+                             "--out", str(out_path))
+        assert (code, out, err) == (2, "", "error: grid must be at most 1000\n")
+        assert out_path.read_bytes() == b"kept\n"
+
     def test_memory_does_not_grow_with_the_grid(self, spec_file, tmp_path):
         # Trajectories are integrated and written one at a time.  500 steps keep
         # the call short under tracemalloc, which traces every float; holding
@@ -310,6 +348,23 @@ class TestScan:
         assert (code, out, err) == (2, "", "error: resolution must be at most 250\n")
         assert out_path.read_bytes() == b"kept\n"
         assert peak < 64 * 1024
+
+    def test_memory_per_hit(self, spec_file, tmp_path):
+        # The hits are held, their CSV lines are not: about 340 B a hit here.
+        out_path = tmp_path / "scan.csv"
+        spec = spec_file({**CASE_A_SPEC, "weights": [1, 0, 0, 0]})
+        build_parser()
+        tracemalloc.start()
+        try:
+            code = main(["scan", "--spec", spec, "--resolution", "60",
+                         "--out", str(out_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        hits = out_path.read_text().count("\n") - 1
+        assert hits == 29_791
+        assert peak / hits < 400
 
 
 class TestDemo:
@@ -427,10 +482,13 @@ class TestFreshInterpreter:
                                capture_output=True, text=True, env=fresh_env(), check=False)
         assert fresh.stdout == f"{[0] * len(calls)} False\n", fresh.stderr
 
-    @pytest.mark.parametrize("argv", [["demo", "a"], ["scan", "--resolution", "30"]])
+    @pytest.mark.parametrize("argv", [
+        ["demo", "a"], ["scan", "--resolution", "30"],
+        ["simulate", "--start", "0.9,0.1", "--max-steps", "50"]])
     def test_failed_write_to_stdout_exits_3(self, spec_file, argv):
         # demo's JSON fails at the flush; scan's 286 kB of CSV inside the write.
-        if argv[0] == "scan":
+        # simulate's status line is not written when its CSV was not.
+        if argv[0] != "demo":
             argv = argv + ["--spec", spec_file(CASE_A_SPEC)]
         read_end, write_end = os.pipe()
         os.close(read_end)  # before the child starts, so its first write to stdout fails
@@ -444,6 +502,7 @@ class TestFreshInterpreter:
         assert fresh.returncode == 3, err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err and "Exception ignored" not in err
+        assert "status:" not in err
 
 
 @pytest.mark.parametrize("command,flag,value,code,expected", [
@@ -805,11 +864,12 @@ def test_arbitrary_spec_keeps_exit_contract(tmp_path_factory, command, spec,
 RUN_OPTIONS = {"simulate": ("start", "step", "max_steps", "tol"),
                "portrait": ("step", "max_steps", "grid", "tol"),
                "scan": ("resolution",)}
-SIZE_LIMITS = {"max_steps": MAX_STEPS_LIMIT, "resolution": RESOLUTION_LIMIT}
+SIZE_LIMITS = {"max_steps": MAX_STEPS_LIMIT, "grid": GRID_LIMIT,
+               "resolution": RESOLUTION_LIMIT}
 RUN_VALUES = {"start": st.tuples(st.floats(0, 1) | st.floats(), st.floats(0, 1) | st.floats()),
               "step": st.floats(1e-3, 1) | st.floats(), "tol": st.floats(),
               "max_steps": st.integers(1, 50) | st.integers(MAX_STEPS_LIMIT + 1, 10**400),
-              "grid": st.integers(2, 4),
+              "grid": st.integers(2, 4) | st.integers(GRID_LIMIT + 1, 10**400),
               "resolution": st.integers(1, 8) | st.integers(RESOLUTION_LIMIT + 1, 10**400)}
 # What a spec may hold instead, for at most one key: no integer above 3.
 ODD_VALUES = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats()

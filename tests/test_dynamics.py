@@ -14,8 +14,9 @@ from quantum_replicator import (
     phase_portrait,
     quantum_transform,
 )
+from quantum_replicator import dynamics
 from quantum_replicator.dynamics import (DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS,
-                                         MAX_STEPS_LIMIT)
+                                         GRID_LIMIT, MAX_STEPS_LIMIT, _orbits)
 
 from conftest import make_weights
 
@@ -335,6 +336,21 @@ class TestPortrait:
     def test_non_integer_grid_rejected(self, grid_n):
         with pytest.raises(ValidationError, match="grid_n must be an integer >= 2"):
             phase_portrait(CASE_A_QUANTUM, grid_n)
+
+    @pytest.mark.parametrize("grid_n", [GRID_LIMIT + 1, 10**400], ids=["limit+1", "1e400"])
+    def test_grid_limit_refused_before_the_first_seed(self, grid_n, monkeypatch):
+        # Even one-step orbits over such a grid would run for minutes, or forever.
+        def no_orbit(*args, **kwargs):
+            raise AssertionError("a seed was integrated")
+        monkeypatch.setattr(dynamics, "integrate", no_orbit)
+        with pytest.raises(ValidationError, match="^grid_n must be at most 1000$"):
+            phase_portrait(CASE_A_QUANTUM, grid_n, max_steps=1)
+        with pytest.raises(ValidationError, match="^grid_n must be at most 1000$"):
+            _orbits(CASE_A_QUANTUM, grid_n, 0.01, 1, 1e-10)
+
+    def test_grid_limit_accepted(self):
+        orbits = _orbits(CASE_A_QUANTUM, GRID_LIMIT, 0.01, 1, 1e-10)
+        assert next(orbits).xs[0] == 1 / (GRID_LIMIT + 1)
 
     def test_options_checked_when_every_seed_is_skipped(self):
         # K1 = K2 = 0 makes the field vanish everywhere, so no orbit is integrated.

@@ -151,6 +151,25 @@ class TestEigenvalues:
         assert sorted((l1.real, l2.real)) == pytest.approx([-2.0, 2.0])
         assert l1.imag == l2.imag == 0.0
 
+    @pytest.mark.parametrize("matrix, message", [
+        (((1, "x"), (0, 0)), "m12 must be a real number, got 'x'"),
+        (((True, 0), (0, 1)), "m11 must be a real number, got True"),
+        (((0.0, 0.0), (0.0, None)), "m22 must be a real number, got None"),
+        (((0, 0), (10**400, 0)), "m21 must be a finite real, got an integer too large"),
+        (5, "matrix must be a pair"),
+        ("ab", "matrix must be a pair"),
+        (((1, 2, 3), (0, 0)), "matrix row 1 must be a pair"),
+        (((1, 2), "ab"), "matrix row 2 must be a pair"),
+    ])
+    def test_matrix_checked(self, matrix, message):
+        with pytest.raises(ValidationError, match=message):
+            eigenvalues(matrix)
+
+    def test_non_finite_entries_accepted(self):
+        # linearize passes on the Jacobian of a rest point at infinity.
+        for l in eigenvalues(((math.inf, 0), (0, 1))):
+            assert math.isnan(l.real) and math.isnan(l.imag)
+
     def test_characteristic_polynomial(self, rng):
         for _ in range(500):
             m = ((rng.uniform(-5, 5), rng.uniform(-5, 5)),
@@ -176,6 +195,29 @@ class TestClassify:
         ((1e-12, 1e-12), "degenerate"),
     ])
     def test_taxonomy(self, eigs, tag):
+        assert classify(eigs) == tag
+
+    @pytest.mark.parametrize("eigs, message", [
+        (("a", "b"), "eigenvalue must be a real number, got 'a'"),
+        (("1", 2.0), "eigenvalue must be a real number, got '1'"),
+        ((-1.0, True), "eigenvalue must be a real number, got True"),
+        ((-1.0, None), "eigenvalue must be a real number, got None"),
+        ((1,), "eigs must be a pair"),
+        ((1, 2, 3), "eigs must be a pair"),
+        (1j, "eigs must be a pair"),
+    ])
+    def test_eigs_checked(self, eigs, message):
+        with pytest.raises(ValidationError, match=message):
+            classify(eigs)
+
+    @pytest.mark.parametrize("eigs, tag", [
+        ((-1, -2), "stable-node"),
+        ([-1.0, 2], "saddle"),
+        ((math.inf, -1.0), "saddle"),
+        # the NaN eigenvalues of a field that overflows stay printable
+        ((complex(math.nan, math.nan), complex(math.nan, math.nan)), "center-linearization"),
+    ])
+    def test_real_or_non_finite_eigs_accepted(self, eigs, tag):
         assert classify(eigs) == tag
 
     def test_tol_validation(self):
