@@ -46,11 +46,18 @@ class IOFailure(Exception):
     """A spec file could not be read or an output file could not be written."""
 
 
+def _open(path, mode, **kwargs):
+    try:
+        return open(path, mode, encoding="utf-8", **kwargs)
+    except ValueError as exc:  # a NUL or a lone surrogate in path: an I/O failure too
+        raise OSError(exc) from exc
+
+
 def _load_spec(path):
     if path is None:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _open(path, "r") as fh:
             spec = json.load(fh)
     except OSError as exc:
         raise IOFailure(f"cannot read spec file {path}: {exc}") from exc
@@ -198,7 +205,7 @@ def _write_file(path, pieces):
             sys.stdout.writelines(pieces)
             sys.stdout.flush()
         else:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
+            with _open(path, "w", newline="") as fh:
                 fh.writelines(pieces)
     except OSError as exc:
         if path is not None:
@@ -455,6 +462,8 @@ def main(argv=None):
         error, code = _USER_NAMES.get(name, name) + space + rest, EXIT_VALIDATION
     except IOFailure as exc:
         error, code = exc, EXIT_IO
+    # One line: a path may hold a newline or another unprintable character; escape it.
+    error = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(error))
     sys.stderr.write(f"error: {error}\n")
     return code
 

@@ -557,6 +557,37 @@ def test_dash_out_name_after_its_flag(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "-o.json").read_text(encoding="utf-8") == printed
 
 
+@pytest.mark.parametrize("name", ["a\x00b", "x\ud800.json"], ids=["nul", "surrogate"])
+@pytest.mark.parametrize("argv,flag", [(["ess"], "--spec"), (["demo", "a"], "--out")])
+@pytest.mark.parametrize("form", ["flag value", "flag=value"])
+def test_path_that_open_refuses_exits_3(tmp_path, monkeypatch, capsys, name, argv, flag,
+                                        form):
+    monkeypatch.chdir(tmp_path)
+    words = [flag, name] if form == "flag value" else [f"{flag}={name}"]
+    code, out, err = run(capsys, *argv, *words)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,code,error", [
+    (["classify", "--spec", "no\nsuch.json"], 3,
+     "cannot read spec file no\\nsuch.json: [Errno 2] No such file or directory: "
+     "'no\\nsuch.json'"),
+    (["demo", "a", "--out", "no_dir/x\ny.json"], 3,
+     "cannot write no_dir/x\\ny.json: [Errno 2] No such file or directory: "
+     "'no_dir/x\\ny.json'"),
+    (["ess", "--spec", "bad\r\x1b.json"], 2,
+     "spec file bad\\r\\x1b.json is not valid JSON: Expecting value: line 1 column 1 "
+     "(char 0)"),
+], ids=["spec", "out", "bad-json"])
+def test_path_with_a_control_character_is_escaped(tmp_path, monkeypatch, capsys, argv,
+                                                  code, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad\r\x1b.json").write_text("no json", encoding="utf-8")
+    assert run(capsys, *argv) == (code, "", f"error: {error}\n")
+
+
 def test_dash_value_is_judged_by_the_flag_type(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--tol", "-abc"])
@@ -823,23 +854,52 @@ SPECS = (st.fixed_dictionaries({}, optional={
     | JSON_VALUES)
 
 
-def _check_exit_contract(tmp_path_factory, spec, argv, flags=()):
+# File names with a newline, a NUL and lone surrogates among plain characters, for
+# --out files made in an empty directory and for --spec files that do not exist.
+# open() refuses a NUL and \ud800; \udc80 names the byte 0x80 on a POSIX file system.
+PATH_NAMES = st.lists(st.sampled_from(["a", ".", "\u00e9", "\n", "\x00", "\ud800", "\udc80"]),
+                      min_size=1, max_size=5).map("".join)
+# A name in one draw of four, so that most runs still reach the spec's checks.
+SOME_PATH_NAMES = st.integers(0, 3).flatmap(lambda n: PATH_NAMES if n == 0 else st.none())
+
+
+def _check_exit_contract(tmp_path_factory, spec, argv, flags=(), out_name=None,
+                         missing_spec=None):
     """Run argv on spec, followed by flags, each (flag, value) given once as the one
     word flag=value and once as the two words flag value.  Check that both forms
-    give the same exit code, stdout and stderr, and the exit contract; return the
-    exit code and stdout."""
-    path = tmp_path_factory.getbasetemp() / "fuzz-spec.json"
+    give the same exit code, output and stderr, and the exit contract; return the
+    exit code and the output: stdout, or the --out file when out_name is given.
+
+    out_name adds --out with a file of that name in an empty directory;
+    missing_spec replaces the spec file by one of that name that does not exist."""
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzz-spec.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
+    if missing_spec is not None:
+        path = base / "no-such-dir" / missing_spec
+    if out_name is not None:
+        (base / "fuzz-out").mkdir(exist_ok=True)
+        out_path = str(base / "fuzz-out" / out_name)
+        flags = [*flags, ("--out", out_path)]
     outcomes = []
     for words in ([f"{flag}={value}" for flag, value in flags],
                   [word for pair in flags for word in pair]):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([argv[0], "--spec", str(path), *argv[1:], *words])
-        outcomes.append((code, out.getvalue(), err.getvalue()))
+        output = out.getvalue()
+        if out_name is not None:
+            assert output == ""
+            if os.path.isfile(out_path):  # not for a name open() refuses, "." or ".."
+                with open(out_path, encoding="utf-8", newline="") as fh:
+                    output = fh.read()
+                os.remove(out_path)
+        outcomes.append((code, output, err.getvalue()))
     assert outcomes[0] == outcomes[1]
     code, out, err = outcomes[0]
     assert code in (0, 2, 3)
+    if missing_spec is not None:
+        assert code == 3
     if code:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -848,14 +908,15 @@ def _check_exit_contract(tmp_path_factory, spec, argv, flags=()):
 
 @settings(max_examples=300, deadline=None)
 @given(command=st.sampled_from(["transform", "classify", "ess"]), spec=SPECS,
-       renormalize=st.booleans(), tol=st.none() | st.floats())
+       renormalize=st.booleans(), tol=st.none() | st.floats(), out_name=SOME_PATH_NAMES,
+       missing_spec=SOME_PATH_NAMES)
 def test_arbitrary_spec_keeps_exit_contract(tmp_path_factory, command, spec,
-                                            renormalize, tol):
+                                            renormalize, tol, out_name, missing_spec):
     argv = [command]
     if renormalize:
         argv.append("--renormalize")
     flags = [("--tol", repr(tol))] if tol is not None and command != "transform" else []
-    _check_exit_contract(tmp_path_factory, spec, argv, flags)
+    _check_exit_contract(tmp_path_factory, spec, argv, flags, out_name, missing_spec)
 
 
 # Each run command's options, by the spec key; the flag is --<key> with "-" for "_".
@@ -903,9 +964,11 @@ def test_arbitrary_run_spec_keeps_exit_contract(tmp_path_factory, data, command,
             flags.append((f"--{key.replace('_', '-')}", text))
         elif where == "spec":
             (spec if key == "start" else options)[key] = value
+    missing_spec = data.draw(SOME_PATH_NAMES, "missing spec")
     code, out = _check_exit_contract(tmp_path_factory, {**spec, "options": options}, argv,
-                                     flags)
-    if oversize:
+                                     flags, data.draw(SOME_PATH_NAMES, "out name"),
+                                     missing_spec)
+    if oversize and missing_spec is None:
         assert code == 2
     if code == 0:
         assert out.startswith(",".join(COMMANDS[command].header) + "\n")
