@@ -24,7 +24,7 @@ from .dynamics import (DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS, DEFAULT_STEP,
                        ReplicatorField, _orbits, integrate)
 from .ess import compare_classical_quantum
 from .games import (ClassicalBimatrix, InitialStateWeights, SimplifiedGame,
-                    ValidationError, k_params, quantum_transform)
+                    ValidationError, _require_choice, k_params, quantum_transform)
 from .scenarios import make_case, scan_flip
 from .stability import DEFAULT_ZERO_TOL, DEGENERATE, interior_point, linearize
 
@@ -68,6 +68,10 @@ def _load_spec(path):
     options = spec.get("options", {})
     if not isinstance(options, dict):
         raise ValidationError(f"options must be an object, got {json.dumps(options)}")
+    for key in spec:
+        _require_choice("spec key", key, ("game", "weights", "start", "options"))
+    for key in options:
+        _require_choice("option", key, ("step", "max_steps", "grid", "resolution", "tol"))
     return spec
 
 
@@ -362,6 +366,18 @@ COMMANDS = {
 }
 
 
+def _one_line(text):
+    """text on one line: each unprintable character escaped as repr escapes it."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(text))
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals, like main's, print one ``error:`` line."""
+
+    def error(self, message):
+        super().error(_one_line(message))
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built on the first call and shared after it.
@@ -370,12 +386,12 @@ def build_parser():
     returns a fresh namespace, so no value carries from one call to the next.
     Its ``command_parsers`` maps each command's name to that command's parser.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quantum-replicator",
         description="Classical and quantized replicator dynamics of 2x2 bi-matrix "
                     "games: payoff transforms, equilibrium classification, "
                     "evolutionary-stability reports and trajectory data.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)  # makes _Parsers too
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         for flag in command.flags:
@@ -462,9 +478,8 @@ def main(argv=None):
         error, code = _USER_NAMES.get(name, name) + space + rest, EXIT_VALIDATION
     except IOFailure as exc:
         error, code = exc, EXIT_IO
-    # One line: a path may hold a newline or another unprintable character; escape it.
-    error = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(error))
-    sys.stderr.write(f"error: {error}\n")
+    # A path may hold a newline or another unprintable character.
+    sys.stderr.write(f"error: {_one_line(error)}\n")
     return code
 
 

@@ -35,6 +35,8 @@ class ValidationError(ValueError):
 
 def _require_real(name, value):
     """value as a float; a bool, a non-number or an int too large for a float fails."""
+    if type(value) is float:  # already what float() would return
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
     try:
@@ -45,8 +47,7 @@ def _require_real(name, value):
 
 
 def _require_finite(name, value):
-    # A plain float needs neither the type check nor float().
-    v = value if type(value) is float else _require_real(name, value)
+    v = _require_real(name, value)
     if not math.isfinite(v):
         raise ValidationError(f"{name} must be a finite real, got {value!r}")
     return v

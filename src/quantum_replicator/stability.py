@@ -116,10 +116,8 @@ def eigenvalues(matrix):
     row1, row2 = _require_pair("matrix", matrix)
     xx, xy = _require_pair("matrix row 1", row1)
     yx, yy = _require_pair("matrix row 2", row2)
-    # Plain floats, as jacobian gives them, need neither the type check nor float().
-    if not type(xx) is type(xy) is type(yx) is type(yy) is float:
-        xx, xy = _require_real("m11", xx), _require_real("m12", xy)
-        yx, yy = _require_real("m21", yx), _require_real("m22", yy)
+    xx, xy = _require_real("m11", xx), _require_real("m12", xy)
+    yx, yy = _require_real("m21", yx), _require_real("m22", yy)
     tr = xx + yy
     det = xx * yy - xy * yx
     disc = tr * tr - 4.0 * det

@@ -613,6 +613,20 @@ def test_double_dash_value_is_refused(capsys, argv, flag):
         f"error: argument {full}: expected one argument\n")
 
 
+@pytest.mark.parametrize("argv,words", [
+    (["demo", "a", "x\ny"], "unrecognized arguments: x\\ny"),
+    (["classify", "a\rb", "--spec", "s.json", "c\x1bd"], "arguments: a\\rb c\\x1bd"),
+    (["simulate", "--s=x\ny"], "ambiguous option: --s=x\\ny could match"),
+    (["portrait", "--grid=\n"], "argument --grid: invalid int value: '\\n'"),
+], ids=["extra-word", "extra-words", "ambiguous", "invalid-value"])
+def test_parser_refusal_prints_one_error_line(capsys, argv, words):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and words in errors[0]
+
+
 def _parse_outcome(capsys, parse, argv):
     """vars of the namespace, or the SystemExit code with stdout and stderr."""
     try:
@@ -739,7 +753,9 @@ class TestMalformedSpec:
     ] + [(command, {"game": {"a11": 0, "a12": 1e308, "a21": 1, "a22": -1e308,
                              "b11": 0, "b12": 1, "b21": 1, "b22": 0}, "weights": WEIGHTS},
           "a12 - a22 must be a finite real, got inf")
-         for command in ("classify", "ess", "simulate --start 0.5,0.5", "portrait", "scan")])
+         for command in ("classify", "ess", "simulate --start 0.5,0.5", "portrait", "scan")]
+        + [(command, {"game": GAME}, "spec is missing 'weights'")
+           for command in ("transform", "classify", "ess", "simulate", "portrait")])
     def test_error_line(self, spec_file, capsys, command, spec, error):
         # A full game whose reduction overflows is named by its entries, not by a.
         code, out, err = run(capsys, *command.split(), "--spec", spec_file(spec))
@@ -757,6 +773,23 @@ class TestMalformedSpec:
         out_path.write_bytes(b"kept\n")
         code, out, err = run(capsys, *command.split(), *flags, "--out", str(out_path),
                              "--spec", spec_file({**CASE_A_SPEC, "weights": weights}))
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+        assert out_path.read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("spec,error", [
+        ({**CASE_A_SPEC, "options": {"grid": 2, "max-steps": 3}},
+         "unknown option 'max-steps'; expected one of step, max_steps, grid, resolution, tol"),
+        ({**CASE_A_SPEC, "option": {"max_steps": 3}},
+         "unknown spec key 'option'; expected one of game, weights, start, options"),
+    ], ids=["option", "spec-key"])
+    @pytest.mark.parametrize("command", ["transform", "classify", "ess",
+                                         "simulate --start 0.9,0.1", "portrait", "scan"])
+    def test_unknown_key_refused_leaves_out_untouched(self, spec_file, tmp_path, capsys,
+                                                      command, spec, error):
+        out_path = tmp_path / "out.txt"
+        out_path.write_bytes(b"kept\n")
+        code, out, err = run(capsys, *command.split(), "--out", str(out_path),
+                             "--spec", spec_file(spec))
         assert (code, out, err) == (2, "", f"error: {error}\n")
         assert out_path.read_bytes() == b"kept\n"
 

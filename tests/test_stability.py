@@ -2,6 +2,7 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantum_replicator import (
     ReplicatorField,
@@ -16,6 +17,7 @@ from quantum_replicator import (
     jacobian,
     linearize,
 )
+from quantum_replicator.games import _require_finite
 
 
 def fd_jacobian(fld, point, h=1e-6):
@@ -180,6 +182,37 @@ class TestEigenvalues:
                 residual = lam * lam - tr * lam + det
                 scale = max(1.0, abs(lam) ** 2)
                 assert abs(residual) / scale < 1e-9
+
+
+class Real(float):
+    """A float subclass: the number checks take their full path for it."""
+
+
+# A plain float, and the same number as the checks' full path takes it: as it
+# is, as a float subclass or, for an integer value, as an int.
+SAME_NUMBERS = (st.floats().flatmap(lambda v: st.sampled_from([(v, v), (v, Real(v))]))
+                | st.integers(-2**64, 2**64).map(lambda n: (float(n), n)))
+
+
+def _results(fld, m11, m12, m21, m22):
+    finite = []
+    for name, value in (("m11", m11), ("m12", m12), ("m21", m21), ("m22", m22)):
+        try:
+            v = _require_finite(name, value)
+            finite.append((type(v), v))
+        except ValidationError as exc:
+            finite.append(str(exc))
+    return repr((eigenvalues(((m11, m12), (m21, m22))), jacobian(fld, (m11, m12)),
+                 field_eval(fld, m21, m22), finite))
+
+
+@settings(max_examples=300)
+@given(entries=st.lists(SAME_NUMBERS, min_size=4, max_size=4),
+       params=st.lists(st.floats(-4, 4), min_size=6, max_size=6))
+def test_plain_float_shortcut_matches_the_full_checks(entries, params):
+    fld = ReplicatorField(*params)
+    plain, same = zip(*entries)
+    assert _results(fld, *same) == _results(fld, *plain)
 
 
 class TestClassify:
