@@ -42,10 +42,6 @@ WEIGHT_KEYS = ("w11", "w12", "w21", "w22")
 _USER_NAMES = {"grid_n": "grid", "zero_tol": "tol", "convergence_tol": "tol"}
 
 
-class IOFailure(Exception):
-    """A spec file could not be read or an output file could not be written."""
-
-
 def _open(path, mode, **kwargs):
     try:
         return open(path, mode, encoding="utf-8", **kwargs)
@@ -60,7 +56,7 @@ def _load_spec(path):
         with _open(path, "r") as fh:
             spec = json.load(fh)
     except OSError as exc:
-        raise IOFailure(f"cannot read spec file {path}: {exc}") from exc
+        raise OSError(f"cannot read spec file {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep
         raise ValidationError(f"spec file {path} is not valid JSON: {exc}") from exc
     if not isinstance(spec, dict):
@@ -100,6 +96,8 @@ def _parse_weights(spec, renormalize):
     if weights is None:
         raise ValidationError("spec is missing 'weights'")
     if isinstance(weights, dict):
+        for key in weights:
+            _require_choice("weights key", key, WEIGHT_KEYS)
         try:
             values = [weights[k] for k in WEIGHT_KEYS]
         except KeyError as exc:
@@ -213,13 +211,13 @@ def _write_file(path, pieces):
                 fh.writelines(pieces)
     except OSError as exc:
         if path is not None:
-            raise IOFailure(f"cannot write {path}: {exc}") from exc
+            raise OSError(f"cannot write {path}: {exc}") from exc
         # Python flushes stdout again at exit, which would fail the same way and
         # print a second report; send what is left to the null device.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        raise IOFailure(f"cannot write to stdout: {exc}") from exc
+        raise OSError(f"cannot write to stdout: {exc}") from exc
 
 
 def _csv_chunks(header, lines):
@@ -470,14 +468,15 @@ def main(argv=None):
         else:
             pieces = _csv_chunks(command.header, output)
         _write_file(args.out, pieces)
-        if note is not None:
-            sys.stderr.write(note)
-        return EXIT_OK
     except ValidationError as exc:
         name, space, rest = str(exc).partition(" ")
         error, code = _USER_NAMES.get(name, name) + space + rest, EXIT_VALIDATION
-    except IOFailure as exc:
+    except OSError as exc:  # only reading the spec and writing the output do I/O
         error, code = exc, EXIT_IO
+    else:
+        if note is not None:
+            sys.stderr.write(note)
+        return EXIT_OK
     # A path may hold a newline or another unprintable character.
     sys.stderr.write(f"error: {_one_line(error)}\n")
     return code

@@ -570,6 +570,28 @@ def test_path_that_open_refuses_exits_3(tmp_path, monkeypatch, capsys, name, arg
     assert list(tmp_path.iterdir()) == []
 
 
+FULL_DEVICE = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                 reason="no /dev/full on this platform")
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["ess", "--spec", "{dir}"], "error: cannot read spec file"),
+    (["demo", "a", "--out", "{dir}"], "error: cannot write"),
+    # ENOSPC comes when the file is closed, after all of the output was buffered.
+    pytest.param(["demo", "a", "--out", "/dev/full"], "error: cannot write",
+                 marks=FULL_DEVICE),
+    pytest.param(["scan", "--spec", "{spec}", "--out", "/dev/full"], "error: cannot write",
+                 marks=FULL_DEVICE),
+], ids=["spec-dir", "out-dir", "json-full-device", "csv-full-device"])
+def test_os_error_on_the_spec_or_out_path_exits_3(tmp_path, spec_file, capsys, argv,
+                                                  error):
+    # Only the prefix is matched: the text of an errno differs between platforms.
+    argv = [word.format(dir=tmp_path, spec=spec_file(CASE_A_SPEC)) for word in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(error) and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv,code,error", [
     (["classify", "--spec", "no\nsuch.json"], 3,
      "cannot read spec file no\\nsuch.json: [Errno 2] No such file or directory: "
@@ -765,6 +787,10 @@ class TestMalformedSpec:
         ([3, -1, 1, 2], ["--renormalize"], "weights must be nonnegative"),
         ([0, 0, 0, 0], ["--renormalize"], "weights must not all be zero"),
         ({"w11": 0.3, "w12": 0.4, "w21": 0.3}, [], "weights is missing w22"),
+        ({"w11": 0.3, "w12": 0.4, "w21": 0.1, "w22": 0.2, "w32": 0.9}, [],
+         "unknown weights key 'w32'; expected one of w11, w12, w21, w22"),
+        ({"w11": 3, "w12": 4, "w21": 1, "w22": 2, "w32": 9}, ["--renormalize"],
+         "unknown weights key 'w32'; expected one of w11, w12, w21, w22"),
     ])
     @pytest.mark.parametrize("command", ["transform", "portrait --grid 2 --max-steps 5"])
     def test_weights_refused_leaves_out_untouched(self, spec_file, tmp_path, capsys,
@@ -880,6 +906,8 @@ GAMES = (st.fixed_dictionaries({k: FIELDS for k in "abcd"})
          | JSON_VALUES)
 WEIGHT_VALUES = (st.lists(FIELDS, min_size=4, max_size=4)
                  | st.fixed_dictionaries({k: FIELDS for k in ("w11", "w12", "w21", "w22")})
+                 | st.fixed_dictionaries({k: FIELDS for k in ("w11", "w12", "w21", "w22",
+                                                              "w32")})
                  | JSON_VALUES)
 SPECS = (st.fixed_dictionaries({}, optional={
     "game": GAMES, "weights": WEIGHT_VALUES,
