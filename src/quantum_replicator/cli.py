@@ -9,16 +9,14 @@ Exit codes: 0 success, 2 validation failure (including a malformed spec),
 3 I/O failure.
 """
 
-from __future__ import annotations
-
 import argparse
+import collections
 import functools
 import json
 import os
 import sys
 from itertools import count, islice, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Callable, NamedTuple, Optional
 
 from .dynamics import (DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS, DEFAULT_STEP,
                        ReplicatorField, _orbits, integrate)
@@ -338,11 +336,9 @@ _VALUE_FLAGS = frozenset(flag for flag, kwargs in FLAGS.items()
                          if flag.startswith("--") and "action" not in kwargs)
 
 
-class Command(NamedTuple):
-    handler: Callable  # (args, spec) -> (JSON payload or CSV lines, stderr line or None)
-    help: str
-    flags: tuple
-    header: Optional[tuple] = None  # CSV header; None for a JSON report
+# handler: (args, spec) -> (JSON payload or CSV lines, stderr line or None);
+# header: the CSV header, or None for a JSON report.
+Command = collections.namedtuple("Command", "handler help flags header", defaults=(None,))
 
 
 COMMANDS = {

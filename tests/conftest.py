@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -14,6 +15,13 @@ def make_weights(raw):
     if vals[3] < 0.0:
         vals[3] = 0.0
     return InitialStateWeights(*vals)
+
+
+def first_integral(fld, x, y):
+    """H = r ln x - (r+s) ln(1-x) - p ln y + (p+q) ln(1-y), constant on orbits."""
+    p, q, r, s = fld.x_constant, fld.x_slope, fld.y_constant, fld.y_slope
+    return (r * math.log(x) - (r + s) * math.log(1.0 - x)
+            - p * math.log(y) + (p + q) * math.log(1.0 - y))
 
 
 def random_state(rng):

@@ -482,6 +482,20 @@ class TestFreshInterpreter:
                                capture_output=True, text=True, env=fresh_env(), check=False)
         assert fresh.stdout == f"{[0] * len(calls)} False\n", fresh.stderr
 
+    def test_import_adds_no_typing(self):
+        # -S, so that no .pth file of site loads typing first.  The standard
+        # modules the package imports are loaded before it: on later 3.13
+        # releases dataclasses loads typing through inspect, and then the
+        # package's own imports cannot be told apart.
+        script = ("import sys, argparse, cmath, collections, dataclasses, functools, "
+                  "itertools, json, math, os\n"
+                  "preloaded = 'typing' in sys.modules\n"
+                  "import quantum_replicator.cli\n"
+                  "print(preloaded or 'typing' not in sys.modules)\n")
+        fresh = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                               text=True, env=fresh_env(), check=False)
+        assert fresh.stdout == "True\n", fresh.stderr
+
     @pytest.mark.parametrize("argv", [
         ["demo", "a"], ["scan", "--resolution", "30"],
         ["simulate", "--start", "0.9,0.1", "--max-steps", "50"]])

@@ -18,7 +18,7 @@ from quantum_replicator import dynamics
 from quantum_replicator.dynamics import (DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS,
                                          GRID_LIMIT, MAX_STEPS_LIMIT, _orbits)
 
-from conftest import make_weights
+from conftest import first_integral, make_weights
 
 CASE_A_QUANTUM = ReplicatorField(1, -1, -1, 1, 0.2, -0.2)
 
@@ -68,13 +68,6 @@ def textbook_integrate(fld, start, h, max_steps, convergence_tol):
         xs.append(x)
         ys.append(y)
     return times, xs, ys, "max-steps"
-
-
-def first_integral(fld, x, y):
-    """H = r ln x - (r+s) ln(1-x) - p ln y + (p+q) ln(1-y), constant on orbits."""
-    p, q, r, s = fld.x_constant, fld.x_slope, fld.y_constant, fld.y_slope
-    return (r * math.log(x) - (r + s) * math.log(1.0 - x)
-            - p * math.log(y) + (p + q) * math.log(1.0 - y))
 
 
 def classical_bimatrix_field(game, x, y):
