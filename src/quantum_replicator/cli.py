@@ -15,7 +15,7 @@ import functools
 import json
 import os
 import sys
-from itertools import count, islice, repeat
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 
 from .dynamics import (DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS, DEFAULT_STEP,
@@ -231,17 +231,19 @@ def _csv_piece(lines):
     return "\n".join(lines) + "\n"
 
 
-def _orbit_lines(trajectories, prefixes):
-    """The CSV line ``<prefix><t>,<x>,<y>`` of every sample, trajectory by trajectory.
+def _orbit_lines(trajectories):
+    """The CSV line ``<id>,<t>,<x>,<y>`` of every sample, trajectory by trajectory.
 
-    The trajectories share one step, so sample i of each has t = i * step:
-    each t cell is formatted once, for the first trajectory that reaches it.
+    The ids count the trajectories drawn, so they stay consecutive over skipped
+    seeds.  The trajectories share one step, so sample i of each has
+    t = i * step: each t cell is formatted once, for the first trajectory that
+    reaches it.
     """
     t_cells = []
-    for prefix, traj in zip(prefixes, trajectories):
+    for tid, traj in enumerate(trajectories):
         if len(traj) > len(t_cells):
             t_cells.extend([f"{t}," for t in traj.times[len(t_cells):]])
-        yield from map("".join, zip(repeat(prefix), t_cells, map(repr, traj.xs),
+        yield from map("".join, zip(repeat(f"{tid},"), t_cells, map(repr, traj.xs),
                                     repeat(","), map(repr, traj.ys)))
 
 
@@ -285,7 +287,8 @@ def _simulate(args, spec):
     fld = _field(args, spec)
     start = _parse_start(args, spec)
     traj = integrate(fld, start, **_integration_options(args, spec))
-    return (_orbit_lines([traj], [""]),
+    return (map(",".join, zip(map(repr, traj.times), map(repr, traj.xs),
+                              map(repr, traj.ys))),
             f"status: {traj.status} after {len(traj) - 1} steps\n")
 
 
@@ -293,8 +296,7 @@ def _portrait(args, spec):
     fld = _field(args, spec)
     grid_n = _option(args, spec, "grid", 5)
     orbits = _orbits(fld, grid_n, **_integration_options(args, spec))
-    # ids count the trajectories drawn, so they stay consecutive over skipped seeds
-    return _orbit_lines(orbits, (f"{tid}," for tid in count())), None
+    return _orbit_lines(orbits), None
 
 
 def _scan(args, spec):

@@ -35,8 +35,8 @@ CLAMP_GUARD = 1e-9
 # Integration stops once the state wanders this far outside the unit square.
 DOMAIN_MARGIN = 0.1
 # A held sample costs about 112 B (t, x and y floats, in lists and tuples), so
-# one trajectory of this many steps peaks near 1.1 GB; the CLI's simulate, which
-# also keeps each t cell of its CSV, holds about 170 B a sample, near 1.7 GB.
+# one trajectory of this many steps peaks near 1.1 GB, also in the CLI's simulate,
+# which formats its CSV rows as it writes them.
 MAX_STEPS_LIMIT = 10_000_000
 # Seeds per axis of a portrait.  Its 10**6 orbits take about 15 s even at one
 # step each (about 15 us an orbit, with a 100 MB CSV from the CLI).

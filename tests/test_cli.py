@@ -189,9 +189,10 @@ class TestSimulate:
         assert out_path.read_text() == out
 
     def test_memory_per_sample(self, spec_file, tmp_path):
-        # The samples, their t cells and the 4096-row CSV chunk are held, not the
-        # CSV lines: each further sample raises the peak by about 170 B, against
-        # 112 B for integrate alone.  Both orbits fill a chunk and end max-steps.
+        # The samples and the 4096-row CSV chunk are held, not the CSV lines or
+        # a t cell per sample: each further sample raises the peak by about
+        # 100 B here, no more than the 114 B of integrate alone.  Both orbits
+        # fill a chunk and end max-steps.
         spec = spec_file(CLASSICAL_C_SPEC)
         build_parser()
         peaks = []
@@ -204,7 +205,7 @@ class TestSimulate:
             finally:
                 tracemalloc.stop()
             assert code == 0
-        assert (peaks[1] - peaks[0]) / 20_000 < 190
+        assert (peaks[1] - peaks[0]) / 20_000 < 135
 
 
 class TestPortrait:

@@ -5,6 +5,7 @@ of the results, and that floating point carries out exactly, so the results
 must agree bit for bit or tag for tag.
 """
 
+import itertools
 import random
 
 import pytest
@@ -106,3 +107,31 @@ def test_tags_unchanged_by_scaling_the_game(k):
     scaled = ReplicatorField(fld.a * 2.0 ** k, fld.b * 2.0 ** k, fld.c * 2.0 ** k,
                              fld.d * 2.0 ** k, fld.K1, fld.K2)
     assert [r.tag for r in linearize(scaled)] == [r.tag for r in linearize(fld)]
+
+
+class TestRowRelabelling:
+    """Relabelling the row player's strategies, x -> 1 - x, maps the classical
+    field of (a, b, c, d) onto that of (-a, -b, -d, -c).  For integer payoffs the
+    corner Jacobians agree exactly, up to the sign of their zeros, which the
+    eigenvalues inherit; the interior point moves to (1 - x*, y*)."""
+
+    def check(self, a, b, c, d):
+        reports = linearize(ReplicatorField.classical(SimplifiedGame(a, b, c, d)))
+        relabelled = linearize(ReplicatorField.classical(SimplifiedGame(-a, -b, -d, -c)))
+        assert len(relabelled) == len(reports)
+        # Corners come as (0, 0), (0, 1), (1, 0), (1, 1): x -> 1 - x moves i to i + 2 mod 4.
+        for i, report in enumerate(reports[:4]):
+            mirror = relabelled[(i + 2) % 4]
+            assert (mirror.equilibrium.x, mirror.equilibrium.y) == (
+                1.0 - report.equilibrium.x, report.equilibrium.y)
+            assert mirror.tag == report.tag
+            assert mirror.jacobian == report.jacobian
+            assert mirror.eigs == report.eigs
+        for report, mirror in zip(reports[4:], relabelled[4:]):
+            assert mirror.tag == report.tag
+            assert mirror.equilibrium.y == report.equilibrium.y
+            assert mirror.equilibrium.x + report.equilibrium.x == pytest.approx(1.0, abs=1e-15)
+
+    def test_small_integer_games(self):
+        for game in itertools.product(range(-4, 5), repeat=4):
+            self.check(*game)

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -114,6 +115,36 @@ def test_make_case_dispatch():
         make_case("d")
 
 
+def exact_verdict(a, b, c, d, k11, k12, k21, k22):
+    """(is_ess, is_attractor) at (1, 0) in integer arithmetic, weights scaled by r."""
+    male = a * (k11 - k21) + b * (k22 - k12) > 0
+    return (male and c * (k11 - k12) + d * (k22 - k21) > 0,
+            male and c * (k22 - k12) + d * (k11 - k21) > 0)
+
+
+def exact_flip(classical, quantum):
+    """The flip label, an ESS change ranked above an attractor change."""
+    (c_ess, c_attractor), (q_ess, q_attractor) = classical, quantum
+    if q_ess != c_ess:
+        return "gained-ess" if q_ess else "lost-ess"
+    return "gained-attractor" if q_attractor else "lost-attractor"
+
+
+def scan_exact(a, b, c, d, r):
+    """The scan of an integer game, every lattice point decided exactly."""
+    classical = exact_verdict(a, b, c, d, 1, 0, 0, 0)
+    expected = []
+    for k11 in range(r + 1):
+        for k12 in range(r + 1 - k11):
+            for k21 in range(r + 1 - k11 - k12):
+                k22 = r - k11 - k12 - k21
+                quantum = exact_verdict(a, b, c, d, k11, k12, k21, k22)
+                if quantum != classical:
+                    expected.append(((k11 / r, k12 / r, k21 / r, k22 / r),
+                                     exact_flip(classical, quantum)))
+    return expected
+
+
 class TestScan:
     def test_lattice_size(self):
         # all C(r+3, 3) points are visited; count flips plus nones indirectly
@@ -146,6 +177,20 @@ class TestScan:
     def test_validation(self):
         with pytest.raises(ValidationError):
             scan_flip(SimplifiedGame(1, -1, -1, 1), 0)
+
+    def test_integer_games_decided_exactly(self):
+        # For integer payoffs each margin at a lattice point is an integer over
+        # r: a nonzero one is at least 1/r, far above the sign tolerance, and
+        # the float rounding of a zero one stays far below it.  So the float
+        # scan must agree with integer arithmetic at every point.  Half the
+        # games draw small payoffs, whose margins are often exactly zero.
+        rng = random.Random(4)
+        for i in range(24):
+            bound = 3 if i // 4 % 2 else 1000
+            a, b, c, d = (rng.randint(-bound, bound) for _ in range(4))
+            r = (7, 10, 30, 60)[i % 4]
+            hits = scan_flip(SimplifiedGame(a, b, c, d), r)
+            assert [(s.as_tuple(), flip) for s, flip in hits] == scan_exact(a, b, c, d, r)
 
     @pytest.mark.parametrize("resolution", [2.5, 3.0, True, "3"])
     def test_non_integer_resolution_rejected(self, resolution):
