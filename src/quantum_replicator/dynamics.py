@@ -36,10 +36,13 @@ CLAMP_GUARD = 1e-9
 DOMAIN_MARGIN = 0.1
 # A held sample costs about 112 B (t, x and y floats, in lists and tuples), so
 # one trajectory of this many steps peaks near 1.1 GB, also in the CLI's simulate,
-# which formats its CSV rows as it writes them.
+# which formats its CSV rows as it writes them.  The CLI's portrait runs at most
+# MAX_STEPS_LIMIT // max_steps processes, each holding one trajectory, so its
+# samples held at once stay within the same bound.
 MAX_STEPS_LIMIT = 10_000_000
 # Seeds per axis of a portrait.  Its 10**6 orbits take about 15 s even at one
-# step each (about 15 us an orbit, with a 100 MB CSV from the CLI).
+# step each (about 15 us an orbit, with a 100 MB CSV from the CLI), and their
+# seed list holds about 65 MB (tracemalloc).
 GRID_LIMIT = 1000
 
 
@@ -197,21 +200,26 @@ def phase_portrait(fld: ReplicatorField, grid_n: int, step=DEFAULT_STEP,
     Seeds landing exactly on an equilibrium are skipped; output order follows
     the lattice (row-major in x, then y).  ``grid_n`` is at most ``GRID_LIMIT``.
     """
-    return list(_orbits(fld, grid_n, step, max_steps, convergence_tol))
+    seeds = _portrait_seeds(fld, grid_n, step, max_steps, convergence_tol)
+    return list(_orbits(fld, seeds, step, max_steps, convergence_tol))
 
 
-def _orbits(fld, grid_n, step, max_steps, convergence_tol):
-    """phase_portrait's trajectories as a lazy iterator, one integrated at a time.
+def _portrait_seeds(fld, grid_n, step, max_steps, convergence_tol):
+    """The seeds phase_portrait integrates, in its order: the lattice points
+    that are not rest points.
 
-    The arguments are checked on the call, before any trajectory is asked for.
+    Every argument is checked before the first seed, also for a portrait whose
+    every seed is skipped.
     """
     grid_n = _require_count("grid_n", grid_n, minimum=2, maximum=GRID_LIMIT)
-    # Checked here too, for a portrait whose every seed is skipped.
     _check_integration_options(step, max_steps, convergence_tol)
-    seeds = (((i + 1) / (grid_n + 1), (j + 1) / (grid_n + 1))
-             for i in range(grid_n) for j in range(grid_n))
+    coords = [(i + 1) / (grid_n + 1) for i in range(grid_n)]
+    return [(x, y) for x in coords for y in coords if field_eval(fld, x, y) != (0.0, 0.0)]
+
+
+def _orbits(fld, seeds, step, max_steps, convergence_tol):
+    """The trajectory from each of seeds, as a lazy iterator, one integrated at a time."""
     # integrate is looked up as a module global on each call, so a rebinding of
     # dynamics.integrate (a tracer's wrapper) sees every trajectory.
     return (integrate(fld, seed, step=step, max_steps=max_steps,
-                      convergence_tol=convergence_tol)
-            for seed in seeds if field_eval(fld, *seed) != (0.0, 0.0))
+                      convergence_tol=convergence_tol) for seed in seeds)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import quantum_replicator
 from quantum_replicator.cli import (_VALUE_FLAGS, COMMANDS, CSV_CHUNK_ROWS, _emit_json,
                                     _parse_args, build_parser, main)
-from quantum_replicator import dynamics
+from quantum_replicator import cli, dynamics
 from quantum_replicator.dynamics import (GRID_LIMIT, MAX_STEPS_LIMIT, ReplicatorField,
                                          integrate, phase_portrait)
 from quantum_replicator.ess import compare_classical_quantum
@@ -312,6 +313,184 @@ class TestPortrait:
         assert peaks[1] <= 1.5 * peaks[0]
 
 
+FULL_DEVICE = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                 reason="no /dev/full on this platform")
+
+# (spec, flags) of portraits drawn by one process and by several.
+WORKER_CASES = {
+    # The centre seed (0.5, 0.5) is the rest point and is skipped; with two
+    # processes the second slice starts at the seed after it, with id 12.
+    "rest-point-at-boundary": ({"game": {"a": 1, "b": 1, "c": 1, "d": 1},
+                                "weights": [1, 0, 0, 0]},
+                               ["--grid", "5", "--step", "0.1", "--tol", "1e-9"]),
+    # converged orbits of unequal lengths, 455 to 543 samples
+    "converging": ({"game": {"a": 2, "b": 1, "c": 3, "d": 1},
+                    "weights": [0.5, 0.25, 0.25, 0]},
+                   ["--grid", "3", "--step", "0.1", "--max-steps", "5000", "--tol", "1e-6"]),
+    # max-steps orbits on the faces and left-domain orbits of unequal lengths
+    "faces-left-domain": ({"game": {"a": 1, "b": -6, "c": 6, "d": 4},
+                           "weights": [1, 0, 0, 0]},
+                          ["--grid", "3", "--step", "1.0", "--max-steps", "1000"]),
+}
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make every portrait run on min(cpus, its seeds) processes, whatever its size."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_FORK_MIN_STEPS", 0)
+
+
+def count_forks(monkeypatch):
+    """The pids of the processes that os.fork starts from now on."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestPortraitWorkers:
+    @pytest.mark.parametrize("case", sorted(WORKER_CASES))
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_same_bytes_as_one_process(self, spec_file, tmp_path, capsys, monkeypatch,
+                                       case, cpus):
+        spec, flags = WORKER_CASES[case]
+        argv = ["portrait", "--spec", spec_file(spec), *flags]
+        use_cpus(monkeypatch, 1)
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0
+        use_cpus(monkeypatch, cpus)
+        forks = count_forks(monkeypatch)
+        assert run(capsys, *argv) == (0, expected, "")
+        assert run(capsys, *argv, "--out", str(tmp_path / "portrait.csv")) == (0, "", "")
+        assert (tmp_path / "portrait.csv").read_text() == expected
+        assert len(forks) == 2 * (cpus - 1)
+        assert_no_child_left()
+        ids = [int(line.split(",", 1)[0]) for line in expected.splitlines()[1:]]
+        assert sorted(set(ids)) == list(range(ids[-1] + 1))
+        assert ids == sorted(ids)
+
+    def test_rest_point_seed_just_before_the_second_slice(self):
+        spec, _ = WORKER_CASES["rest-point-at-boundary"]
+        fld = ReplicatorField.quantum(SimplifiedGame(**spec["game"]),
+                                      InitialStateWeights(*spec["weights"]))
+        seeds = dynamics._portrait_seeds(fld, 5, 0.1, 100, 1e-9)
+        assert len(seeds) == 24
+        assert seeds[11] == (1 / 2, 2 / 6) and seeds[12] == (1 / 2, 4 / 6)
+
+    def test_worker_that_cannot_start_leaves_its_slice_here(self, spec_file, capsys,
+                                                            monkeypatch):
+        spec, flags = WORKER_CASES["converging"]
+        argv = ["portrait", "--spec", spec_file(spec), *flags]
+        use_cpus(monkeypatch, 1)
+        expected = run(capsys, *argv)
+        use_cpus(monkeypatch, 3)
+        fork, started = os.fork, []
+
+        def fork_once():  # the second worker finds no process to run in
+            if started:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            started.append(fork())
+            return started[-1]
+        monkeypatch.setattr(os, "fork", fork_once)
+        assert run(capsys, *argv) == expected
+        assert len(started) == 1
+        assert_no_child_left()
+
+    @FULL_DEVICE
+    def test_failed_write_kills_and_reaps_the_workers(self, spec_file, capsys, monkeypatch):
+        parent = os.getpid()
+        integrate = dynamics.integrate
+
+        slept = []
+
+        def slow_in_workers(*args, **kwargs):
+            if os.getpid() != parent and not slept:
+                slept.append(60)
+                time.sleep(60)
+            return integrate(*args, **kwargs)
+        monkeypatch.setattr(dynamics, "integrate", slow_in_workers)
+        use_cpus(monkeypatch, 3)
+        forks = count_forks(monkeypatch)
+        start = time.monotonic()
+        code, out, err = run(capsys, "portrait", "--spec", spec_file(CASE_C_SPEC),
+                             "--grid", "4", "--max-steps", "2000", "--out", "/dev/full")
+        assert time.monotonic() - start < 30  # the workers were not waited for
+        assert (code, out) == (3, "")
+        assert err.startswith("error: cannot write /dev/full") and err.count("\n") == 1
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("how,why", [("raise", "exit status 1"),
+                                         ("kill", "signal 9")])
+    def test_failed_worker_exits_3_and_never_returns(self, spec_file, tmp_path, capsys,
+                                                     monkeypatch, how, why):
+        parent = os.getpid()
+        integrate = dynamics.integrate
+
+        def failing(*args, **kwargs):
+            if os.getpid() != parent:
+                if how == "kill":
+                    os.kill(os.getpid(), 9)
+                raise RuntimeError("worker failure")
+            return integrate(*args, **kwargs)
+        monkeypatch.setattr(dynamics, "integrate", failing)
+        use_cpus(monkeypatch, 3)
+        marker = tmp_path / "returned"
+        try:
+            code = main(["portrait", "--spec", spec_file(CASE_A_SPEC), "--grid", "3",
+                         "--max-steps", "100", "--out", str(tmp_path / "portrait.csv")])
+        finally:
+            with open(marker, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            if os.getpid() != parent:  # a worker came back here: end it, the test fails
+                os._exit(0)
+        assert marker.read_text(encoding="utf-8") == f"{parent}\n"
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", f"error: portrait worker for orbits 3-5 failed ({why})\n")
+        assert_no_child_left()
+
+    def test_worker_count(self, monkeypatch):
+        seeds = [(0.5, 0.5)] * 6
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+        assert cli._worker_count(seeds, 100_000) == 4
+        assert cli._worker_count(seeds[:3], 100_000) == 3
+        # the samples held by all processes at once stay within one trajectory's bound
+        assert cli._worker_count(seeds, MAX_STEPS_LIMIT // 2) == 2
+        assert cli._worker_count(seeds, MAX_STEPS_LIMIT) == 1
+        # below the floor of requested steps, one process
+        assert cli._worker_count(seeds, -(-cli._FORK_MIN_STEPS // 6)) == 4
+        assert cli._worker_count(seeds, cli._FORK_MIN_STEPS // 6 - 1) == 1
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        assert cli._worker_count(seeds, 100_000) == 1
+
+    def test_one_process_without_fork_or_with_another_thread(self, monkeypatch):
+        import threading
+        seeds = [(0.5, 0.5)] * 6
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert cli._worker_count(seeds, 100_000) == 1
+        finally:
+            stop.set()
+            thread.join()
+        assert cli._worker_count(seeds, 100_000) == 4
+        monkeypatch.delattr(os, "fork")
+        assert cli._worker_count(seeds, 100_000) == 1
+
+
 class TestScan:
     def test_header_and_vertex_absent(self, spec_file, capsys):
         code, out, _ = run(capsys, "scan", "--spec", spec_file(CASE_A_SPEC),
@@ -583,10 +762,6 @@ def test_path_that_open_refuses_exits_3(tmp_path, monkeypatch, capsys, name, arg
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
-
-
-FULL_DEVICE = pytest.mark.skipif(not os.path.exists("/dev/full"),
-                                 reason="no /dev/full on this platform")
 
 
 @pytest.mark.parametrize("argv,error", [

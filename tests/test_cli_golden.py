@@ -115,6 +115,11 @@ GOLDEN = {
     "portrait --spec classical_c.json --grid 2 --max-steps 120 --step 0.1":
         (0, "87cd202e789e022a62501cc5d3653b77f262a8af185d60872a7892fcb2efd653",
          EMPTY),
+    # Large enough (25 orbits x 2000 steps) to be split across worker processes
+    # on a host with more than one usable CPU; pinned from one process.
+    "portrait --spec case_a.json --grid 5 --max-steps 2000":
+        (0, "89c8c5a46c0c8cd1e67004abf184d6518650c5d90b3f592780929a03a7e1925c",
+         EMPTY),
     "scan --spec case_a.json --resolution 12":
         (0, "3a8321e5099a30c76a8d8b5316dafb4d131f2ec06180659286be2328017a6291",
          EMPTY),

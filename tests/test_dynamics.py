@@ -16,7 +16,8 @@ from quantum_replicator import (
 )
 from quantum_replicator import dynamics
 from quantum_replicator.dynamics import (DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS,
-                                         GRID_LIMIT, MAX_STEPS_LIMIT, _orbits)
+                                         GRID_LIMIT, MAX_STEPS_LIMIT, _orbits,
+                                         _portrait_seeds)
 
 from conftest import first_integral, make_weights
 
@@ -339,10 +340,12 @@ class TestPortrait:
         with pytest.raises(ValidationError, match="^grid_n must be at most 1000$"):
             phase_portrait(CASE_A_QUANTUM, grid_n, max_steps=1)
         with pytest.raises(ValidationError, match="^grid_n must be at most 1000$"):
-            _orbits(CASE_A_QUANTUM, grid_n, 0.01, 1, 1e-10)
+            _portrait_seeds(CASE_A_QUANTUM, grid_n, 0.01, 1, 1e-10)
 
     def test_grid_limit_accepted(self):
-        orbits = _orbits(CASE_A_QUANTUM, GRID_LIMIT, 0.01, 1, 1e-10)
+        seeds = _portrait_seeds(CASE_A_QUANTUM, GRID_LIMIT, 0.01, 1, 1e-10)
+        assert len(seeds) == GRID_LIMIT ** 2
+        orbits = _orbits(CASE_A_QUANTUM, seeds, 0.01, 1, 1e-10)
         assert next(orbits).xs[0] == 1 / (GRID_LIMIT + 1)
 
     def test_options_checked_when_every_seed_is_skipped(self):
