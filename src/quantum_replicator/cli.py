@@ -15,7 +15,7 @@ import functools
 import json
 import os
 import sys
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 from .dynamics import (DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS, DEFAULT_STEP,
@@ -227,13 +227,6 @@ def _write_file(path, pieces):
         raise OSError(f"cannot write to stdout: {exc}") from exc
 
 
-def _csv_output(header, pieces):
-    """The CSV text: the header line, then the pieces.  Closing it after the
-    header closes pieces."""
-    yield ",".join(header) + "\n"
-    yield from pieces
-
-
 def _csv_chunks(lines):
     """The text of lines in pieces of at most CSV_CHUNK_ROWS lines."""
     lines = iter(lines)
@@ -329,12 +322,16 @@ def _worker_count(seeds, max_steps):
     """How many processes draw the orbits from seeds, each of at most max_steps steps.
 
     One where os.fork is missing, where another thread runs (it may hold a
-    lock the forked worker needs), and below _FORK_MIN_STEPS requested steps.
-    At most MAX_STEPS_LIMIT // max_steps, so that the samples held at once by
-    all of them stay within the bound of one trajectory.
+    lock the forked worker needs), where SIGCHLD is not at its default (the
+    kernel reaps the workers when it is ignored, and a handler may reap them,
+    before waitpid can), and below _FORK_MIN_STEPS requested steps.  At most
+    MAX_STEPS_LIMIT // max_steps, so that the samples held at once by all of
+    them stay within the bound of one trajectory.
     """
+    import signal
     import threading
     if (not hasattr(os, "fork") or threading.active_count() > 1
+            or signal.getsignal(signal.SIGCHLD) is not signal.SIG_DFL
             or len(seeds) * max_steps < _FORK_MIN_STEPS):
         return 1
     return min(_usable_cpus(), len(seeds), MAX_STEPS_LIMIT // max_steps)
@@ -371,9 +368,8 @@ def _portrait_pieces(fld, seeds, options):
                 raise _WorkerFailed(
                     f"portrait worker for orbits {lo}-{hi - 1} failed ({why})")
             fh.seek(0)
-            with open(fh.fileno(), encoding="utf-8", newline="", closefd=False) as text:
-                while piece := text.read(_COPY_CHARS):
-                    yield piece
+            while piece := fh.read(_COPY_CHARS):
+                yield piece
         yield from _slice_pieces(fld, seeds, bounds[len(workers) + 1], n, options)
     finally:
         import signal
@@ -393,7 +389,7 @@ def _start_worker(fld, seeds, lo, hi, options):
     from seeds[lo:hi] to the unlinked temporary file and exits."""
     import gc
     import tempfile
-    fh = tempfile.TemporaryFile()
+    fh = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
     try:
         pid = os.fork()
     except BaseException:
@@ -401,13 +397,12 @@ def _start_worker(fld, seeds, lo, hi, options):
         raise
     if pid == 0:
         # The worker leaves only through os._exit: it never returns into the
-        # caller, nor flushes or collects what it inherited.
+        # caller, nor flushes (its own file aside) or collects what it inherited.
         status = 1
         try:
             gc.disable()
-            with open(fh.fileno(), "w", encoding="utf-8", newline="",
-                      closefd=False) as text:
-                text.writelines(_slice_pieces(fld, seeds, lo, hi, options))
+            fh.writelines(_slice_pieces(fld, seeds, lo, hi, options))
+            fh.flush()
             status = 0
         finally:
             os._exit(status)
@@ -453,7 +448,8 @@ _VALUE_FLAGS = frozenset(flag for flag, kwargs in FLAGS.items()
                          if flag.startswith("--") and "action" not in kwargs)
 
 
-# handler: (args, spec) -> (JSON payload or CSV text pieces, stderr line or None);
+# handler: (args, spec) -> (JSON payload or a generator of CSV text pieces, which
+# main closes after writing, stderr line or None);
 # header: the CSV header, or None for a JSON report.
 Command = collections.namedtuple("Command", "handler help flags header", defaults=(None,))
 
@@ -580,11 +576,10 @@ def main(argv=None):
             _write_file(args.out, [_emit_json(output)])
         else:
             # Closed also when a write fails: a portrait then stops its workers.
-            pieces = _csv_output(command.header, output)
             try:
-                _write_file(args.out, pieces)
+                _write_file(args.out, chain([",".join(command.header) + "\n"], output))
             finally:
-                pieces.close()
+                output.close()
     except ValidationError as exc:
         name, space, rest = str(exc).partition(" ")
         error, code = _USER_NAMES.get(name, name) + space + rest, EXIT_VALIDATION

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -471,8 +472,37 @@ class TestPortraitWorkers:
         # below the floor of requested steps, one process
         assert cli._worker_count(seeds, -(-cli._FORK_MIN_STEPS // 6)) == 4
         assert cli._worker_count(seeds, cli._FORK_MIN_STEPS // 6 - 1) == 1
+        # a worker may be reaped before waitpid: by the kernel, or by a handler
+        previous = signal.getsignal(signal.SIGCHLD)
+        try:
+            for handler in (signal.SIG_IGN, lambda signum, frame: None):
+                signal.signal(signal.SIGCHLD, handler)
+                assert cli._worker_count(seeds, 100_000) == 1
+            signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+            assert cli._worker_count(seeds, 100_000) == 4
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         assert cli._worker_count(seeds, 100_000) == 1
+
+    def test_one_process_with_sigchld_ignored(self, spec_file, tmp_path, capsys,
+                                              monkeypatch):
+        argv = ["portrait", "--spec", spec_file(CASE_A_SPEC), "--grid", "5",
+                "--max-steps", "2000"]
+        use_cpus(monkeypatch, 1)
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0
+        use_cpus(monkeypatch, 3)
+        forks = count_forks(monkeypatch)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert run(capsys, *argv) == (0, expected, "")
+            assert run(capsys, *argv, "--out", str(tmp_path / "portrait.csv")) == (0, "", "")
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert (tmp_path / "portrait.csv").read_text() == expected
+        assert forks == []
+        assert_no_child_left()
 
     def test_one_process_without_fork_or_with_another_thread(self, monkeypatch):
         import threading
