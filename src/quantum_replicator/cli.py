@@ -19,8 +19,7 @@ from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 from .dynamics import (DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS, DEFAULT_STEP,
-                       MAX_STEPS_LIMIT, ReplicatorField, _orbits, _portrait_seeds,
-                       integrate)
+                       MAX_STEPS_LIMIT, ReplicatorField, _portrait_seeds, integrate)
 from .ess import compare_classical_quantum
 from .games import (ClassicalBimatrix, InitialStateWeights, SimplifiedGame,
                     ValidationError, _require_choice, k_params, quantum_transform)
@@ -239,7 +238,7 @@ def _csv_piece(lines):
     return "\n".join(lines) + "\n"
 
 
-def _orbit_lines(trajectories, first_id=0):
+def _orbit_lines(trajectories, first_id):
     """The CSV line ``<id>,<t>,<x>,<y>`` of every sample, trajectory by trajectory.
 
     The ids count the trajectories drawn from first_id, so they stay
@@ -381,7 +380,8 @@ def _portrait_pieces(fld, seeds, options):
 
 
 def _slice_pieces(fld, seeds, lo, hi, options):
-    return _csv_chunks(_orbit_lines(_orbits(fld, seeds[lo:hi], **options), lo))
+    trajectories = (integrate(fld, seed, **options) for seed in seeds[lo:hi])
+    return _csv_chunks(_orbit_lines(trajectories, lo))
 
 
 def _start_worker(fld, seeds, lo, hi, options):

@@ -201,7 +201,8 @@ def phase_portrait(fld: ReplicatorField, grid_n: int, step=DEFAULT_STEP,
     the lattice (row-major in x, then y).  ``grid_n`` is at most ``GRID_LIMIT``.
     """
     seeds = _portrait_seeds(fld, grid_n, step, max_steps, convergence_tol)
-    return list(_orbits(fld, seeds, step, max_steps, convergence_tol))
+    return [integrate(fld, seed, step=step, max_steps=max_steps,
+                      convergence_tol=convergence_tol) for seed in seeds]
 
 
 def _portrait_seeds(fld, grid_n, step, max_steps, convergence_tol):
@@ -216,10 +217,3 @@ def _portrait_seeds(fld, grid_n, step, max_steps, convergence_tol):
     coords = [(i + 1) / (grid_n + 1) for i in range(grid_n)]
     return [(x, y) for x in coords for y in coords if field_eval(fld, x, y) != (0.0, 0.0)]
 
-
-def _orbits(fld, seeds, step, max_steps, convergence_tol):
-    """The trajectory from each of seeds, as a lazy iterator, one integrated at a time."""
-    # integrate is looked up as a module global on each call, so a rebinding of
-    # dynamics.integrate (a tracer's wrapper) sees every trajectory.
-    return (integrate(fld, seed, step=step, max_steps=max_steps,
-                      convergence_tol=convergence_tol) for seed in seeds)

@@ -1,11 +1,16 @@
 """tools/bytediff.py: its draws cover what it promises, a copy of the source
-tree shows no difference, and one changed output line shows."""
+tree shows no difference, and one changed output line shows, also one that
+only a portrait worker writes."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import re
 import shutil
 from pathlib import Path
+
+from quantum_replicator import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bytediff", ROOT / "tools" / "bytediff.py")
@@ -20,10 +25,34 @@ def copy_tree(tmp_path):
     return tree
 
 
+def plant(tree, old, new):
+    """Replace the one occurrence of old in the tree's cli.py with new."""
+    path = tree / "src" / "quantum_replicator" / "cli.py"
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new), encoding="utf-8")
+
+
 def run(capsys, change):
     code = bytediff.main(["--parent", str(ROOT), "--change", str(change),
                           "--seed", "1", "--calls", "150"])
     return code, capsys.readouterr().out
+
+
+def requested_steps(call):
+    """grid * grid * max-steps of a drawn portrait call, its flags over its spec's
+    options; 0 where its words do not parse or the two are not integers."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            args = cli._parse_args(call["argv"])
+    except SystemExit:
+        return 0
+    spec = call["files"].get("spec.json")
+    options = spec.get("options") if isinstance(spec, dict) else None
+    spec = {"options": options} if isinstance(options, dict) else {}
+    grid, steps = (cli._option(args, spec, name, None) for name in ("grid", "max_steps"))
+    return grid * grid * steps if type(grid) is type(steps) is int else 0
 
 
 def test_draws_are_seeded_and_cover_the_promised_inputs():
@@ -41,6 +70,9 @@ def test_draws_are_seeded_and_cover_the_promised_inputs():
     assert any("1e400" in text for text in texts)
     assert any("1e+308" in text for text in texts)
     assert any(text in bytediff.MALFORMED_SPECS for text in texts)
+    # portraits that split their orbits across worker processes
+    portraits = [call for call in calls if call["argv"][0] == "portrait"]
+    assert sum(requested_steps(call) >= cli._FORK_MIN_STEPS for call in portraits) >= 10
 
 
 def test_a_copy_has_no_differences(tmp_path, capsys):
@@ -52,12 +84,8 @@ def test_a_copy_has_no_differences(tmp_path, capsys):
 
 def test_one_changed_output_line_shows(tmp_path, capsys):
     tree = copy_tree(tmp_path)
-    cli = tree / "src" / "quantum_replicator" / "cli.py"
-    text = cli.read_text(encoding="utf-8")
     line = '    return "\\n".join(lines) + "\\n"\n'
-    assert text.count(line) == 1
-    cli.write_text(text.replace(line, line.replace('+ "\\n"', '+ " \\n"')),
-                   encoding="utf-8")
+    plant(tree, line, line.replace('+ "\\n"', '+ " \\n"'))
     code, out = run(capsys, tree)
     assert code == 1
     summary, *groups = [line for line in out.splitlines() if not line.startswith(" ")]
@@ -69,3 +97,18 @@ def test_one_changed_output_line_shows(tmp_path, capsys):
     details = [line for line in out.splitlines() if line.startswith("    ")]
     assert details and all(re.search(r"line \d+: parent '(.*)', change '\1 '$", line)
                            for line in details)
+
+
+def test_a_changed_worker_output_shows(tmp_path, capsys):
+    # Only a portrait that splits its orbits runs _start_worker.  The copy splits
+    # them also where one CPU is usable, in bytes that are those of one process.
+    tree = copy_tree(tmp_path)
+    plant(tree, "fh.flush()\n", 'fh.write("worker\\n")\n            fh.flush()\n')
+    plant(tree, "return min(_usable_cpus(), ", "return min(max(_usable_cpus(), 2), ")
+    code, out = run(capsys, tree)
+    assert code == 1
+    summary, *groups = [line for line in out.splitlines() if not line.startswith(" ")]
+    assert int(summary.split(", ")[2].split()[0]) > 0
+    assert groups and all(group.split()[0] == "portrait" for group in groups)
+    details = [line for line in out.splitlines() if line.startswith("    ")]
+    assert details and all(line.endswith("change 'worker'") for line in details)

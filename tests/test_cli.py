@@ -282,7 +282,7 @@ class TestPortrait:
                                                       monkeypatch, grid, form):
         def no_orbit(*args, **kwargs):
             raise AssertionError("a seed was integrated")
-        monkeypatch.setattr(dynamics, "integrate", no_orbit)
+        monkeypatch.setattr(cli, "integrate", no_orbit)
         out_path = tmp_path / "portrait.csv"
         out_path.write_bytes(b"kept\n")
         if form == "flag":
@@ -410,7 +410,7 @@ class TestPortraitWorkers:
     @FULL_DEVICE
     def test_failed_write_kills_and_reaps_the_workers(self, spec_file, capsys, monkeypatch):
         parent = os.getpid()
-        integrate = dynamics.integrate
+        integrate = cli.integrate
 
         slept = []
 
@@ -419,7 +419,7 @@ class TestPortraitWorkers:
                 slept.append(60)
                 time.sleep(60)
             return integrate(*args, **kwargs)
-        monkeypatch.setattr(dynamics, "integrate", slow_in_workers)
+        monkeypatch.setattr(cli, "integrate", slow_in_workers)
         use_cpus(monkeypatch, 3)
         forks = count_forks(monkeypatch)
         start = time.monotonic()
@@ -436,7 +436,7 @@ class TestPortraitWorkers:
     def test_failed_worker_exits_3_and_never_returns(self, spec_file, tmp_path, capsys,
                                                      monkeypatch, how, why):
         parent = os.getpid()
-        integrate = dynamics.integrate
+        integrate = cli.integrate
 
         def failing(*args, **kwargs):
             if os.getpid() != parent:
@@ -444,7 +444,7 @@ class TestPortraitWorkers:
                     os.kill(os.getpid(), 9)
                 raise RuntimeError("worker failure")
             return integrate(*args, **kwargs)
-        monkeypatch.setattr(dynamics, "integrate", failing)
+        monkeypatch.setattr(cli, "integrate", failing)
         use_cpus(monkeypatch, 3)
         marker = tmp_path / "returned"
         try:

@@ -16,8 +16,7 @@ from quantum_replicator import (
 )
 from quantum_replicator import dynamics
 from quantum_replicator.dynamics import (DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS,
-                                         GRID_LIMIT, MAX_STEPS_LIMIT, _orbits,
-                                         _portrait_seeds)
+                                         GRID_LIMIT, MAX_STEPS_LIMIT, _portrait_seeds)
 
 from conftest import first_integral, make_weights
 
@@ -345,8 +344,7 @@ class TestPortrait:
     def test_grid_limit_accepted(self):
         seeds = _portrait_seeds(CASE_A_QUANTUM, GRID_LIMIT, 0.01, 1, 1e-10)
         assert len(seeds) == GRID_LIMIT ** 2
-        orbits = _orbits(CASE_A_QUANTUM, seeds, 0.01, 1, 1e-10)
-        assert next(orbits).xs[0] == 1 / (GRID_LIMIT + 1)
+        assert seeds[0] == (1 / (GRID_LIMIT + 1), 1 / (GRID_LIMIT + 1))
 
     def test_options_checked_when_every_seed_is_skipped(self):
         # K1 = K2 = 0 makes the field vanish everywhere, so no orbit is integrated.

@@ -1,5 +1,5 @@
+import random
 import struct
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,12 +11,12 @@ from quantum_replicator import (
     compare_classical_quantum,
     corner_roots_10,
     k_params,
-    scan_flip,
     strict_ne_margins_10,
     verdict_10,
 )
 from quantum_replicator.stability import DEFAULT_ZERO_TOL
 
+import exact
 from conftest import make_weights
 
 CASE_A = SimplifiedGame(1, -1, -1, 1)
@@ -177,33 +177,24 @@ def lattice_points(draw):
     return r, (k11, k12, k21, r - k11 - k12 - k21)
 
 
-def exact_values(payoffs, r, k):
-    """Corner roots and margins at the lattice weights k / r, as exact rationals."""
-    a, b, c, d = (Fraction(v) for v in payoffs)
-    w11, w12, w21, w22 = (Fraction(ki, r) for ki in k)
-    K1, K2 = w11 - w21, w22 - w12
-    roots = (-a * K1 - b * K2, -c * K2 - d * K1)
-    margins = (a * (w11 - w21) + b * (w22 - w12), c * (w11 - w12) + d * (w22 - w21))
-    return roots, margins
-
-
-def exact_flags(payoffs, r, k):
-    """(is_attractor, is_ess) decided by the exact signs."""
-    roots, margins = exact_values(payoffs, r, k)
-    return all(x < 0 for x in roots), all(x > 0 for x in margins)
-
-
-def exact_flip(classical, quantum):
-    (c_attractor, c_ess), (q_attractor, q_ess) = classical, quantum
-    if c_ess != q_ess:
-        return "gained-ess" if q_ess else "lost-ess"
-    if c_attractor != q_attractor:
-        return "gained-attractor" if q_attractor else "lost-attractor"
-    return "none"
-
-
 int_payoffs = st.integers(-6, 6)
 int_games = st.tuples(int_payoffs, int_payoffs, int_payoffs, int_payoffs)
+
+
+def scaled_draws(count):
+    """count draws of integer payoffs in [-6, 6] with lattice parts k of r <= 24."""
+    rng = random.Random(5)
+    for _ in range(count):
+        payoffs = tuple(rng.randint(-6, 6) for _ in range(4))
+        r = rng.randint(1, 24)
+        cuts = sorted(rng.randint(0, r) for _ in range(3))
+        yield payoffs, r, (cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], r - cuts[2])
+
+
+def beyond_abs_tol(k):
+    return pytest.param(k, marks=pytest.mark.xfail(
+        strict=True, reason="verdict_10's tolerance is absolute, not relative to the "
+        "payoffs (ROADMAP item 2)"))
 
 
 class TestExactOracle:
@@ -219,26 +210,21 @@ class TestExactOracle:
         r, k = point
         game = SimplifiedGame(*payoffs)
         state = InitialStateWeights(*(ki / r for ki in k))
-        roots, margins = exact_values(payoffs, r, k)
-        is_attractor, is_ess = exact_flags(payoffs, r, k)
         for tol in (DEFAULT_ZERO_TOL, 1e-6):
             v = verdict_10(game, state, tol=tol)
-            assert v.is_attractor == is_attractor
-            assert v.is_ess == is_ess
-            assert v.marginal == (0 in roots or 0 in margins)
+            assert (v.is_attractor, v.is_ess, v.marginal) == exact.verdict(payoffs, k)
 
-    @settings(max_examples=100)
-    @given(int_games, st.integers(1, 12))
-    def test_scan_hits_are_the_exact_flips(self, payoffs, r):
-        classical = exact_flags(payoffs, 1, (1, 0, 0, 0))
-        expected = []
-        for k11 in range(r + 1):
-            for k12 in range(r + 1 - k11):
-                for k21 in range(r + 1 - k11 - k12):
-                    k = (k11, k12, k21, r - k11 - k12 - k21)
-                    flip = exact_flip(classical, exact_flags(payoffs, r, k))
-                    if flip != "none":
-                        expected.append((k, flip))
-        hits = scan_flip(SimplifiedGame(*payoffs), r)
-        assert [(tuple(round(w * r) for w in s.as_tuple()), flip)
-                for s, flip in hits] == expected
+    # Scaling a game by 2**k is exact and changes no sign.  Of 1000 draws, the full
+    # verdict differs from the exact one at 893 and 649 for k = -40 and -30, where
+    # every nonzero margin falls inside the tolerance, and at 14 for k = 30 and 40,
+    # where a rounded zero margin no longer does.
+    @pytest.mark.parametrize("k", [beyond_abs_tol(-40), beyond_abs_tol(-30), -20, -10, 10,
+                                   20, beyond_abs_tol(30), beyond_abs_tol(40)])
+    def test_scaled_verdict_is_the_exact_verdict(self, k):
+        misses = []
+        for payoffs, r, parts in scaled_draws(1000):
+            v = verdict_10(SimplifiedGame(*(p * 2.0 ** k for p in payoffs)),
+                           InitialStateWeights(*(ki / r for ki in parts)))
+            if (v.is_attractor, v.is_ess, v.marginal) != exact.verdict(payoffs, parts):
+                misses.append((payoffs, parts))
+        assert misses == []

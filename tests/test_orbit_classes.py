@@ -10,10 +10,11 @@ orbit goes (Hofbauer & Sigmund 1998, bimatrix games):
   orbit tends to the corner the signs name;
 * both pairs change sign and q s < 0: the interior rest point is a center, and
   every other interior orbit is closed;
-* both pairs change sign and q s > 0: a saddle, whose basins are not tested here.
+* both pairs change sign and q s > 0: a saddle, with two sink corners whose
+  basins the separatrices through the interior rest point bound.
 
-The brackets are exact Fractions of integer payoffs and lattice weights k/n.  A
-field with a zero bracket is skipped: its float bracket may have either sign.
+The brackets are exact: integer payoffs at lattice weights k/n (tests/exact.py).
+A field with a zero bracket is skipped: its float bracket may have either sign.
 """
 
 import random
@@ -23,33 +24,8 @@ import pytest
 
 from quantum_replicator import InitialStateWeights, ReplicatorField, SimplifiedGame, integrate
 
+import exact
 from conftest import first_integral
-
-
-def exact_brackets(game, counts, n):
-    """(p, q, r, s) as Fractions, for payoffs game and weights counts / n."""
-    a, b, c, d = game
-    K1, K2 = Fraction(counts[0] - counts[2], n), Fraction(counts[3] - counts[1], n)
-    return (a * K1 + b * K2, -(a + b) * (K1 + K2),
-            c * K1 + d * K2, -(c + d) * (K1 + K2))
-
-
-def orbit_class(p, q, r, s):
-    """The class, "corner", "center" or "saddle"; None when a bracket is zero."""
-    if 0 in (p, p + q, r, r + s):
-        return None
-    if (p > 0) == (p + q > 0) or (r > 0) == (r + s > 0):
-        return "corner"
-    return "center" if q * s < 0 else "saddle"
-
-
-def sink(p, q, r, s):
-    """The corner every interior orbit of a corner-class field tends to."""
-    if (p > 0) == (p + q > 0):
-        x = 1 if p > 0 else 0
-        return x, 1 if r + s * x > 0 else 0
-    y = 1 if r > 0 else 0
-    return 1 if p + q * y > 0 else 0, y
 
 
 def field(game, counts, n):
@@ -57,18 +33,24 @@ def field(game, counts, n):
                                    InitialStateWeights(*(k / n for k in counts)))
 
 
+def draw_field(rng):
+    """A game with integer payoffs in [-5, 5] and lattice weights k/n, n <= 12:
+    (game, counts, n)."""
+    game = tuple(rng.randint(-5, 5) for _ in range(4))
+    n = rng.randint(1, 12)
+    cuts = sorted(rng.randint(0, n) for _ in range(3))
+    return game, (cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], n - cuts[2]), n
+
+
 def drawn_fields():
-    """80 games with integer payoffs in [-5, 5] and lattice weights k/n, n <= 12,
-    each with two starts on the grid of tenths: (class, game, counts, n, starts)."""
+    """80 drawn fields, each with two starts on the grid of tenths:
+    (class, game, counts, n, starts)."""
     rng = random.Random(8)
     for _ in range(80):
-        game = tuple(rng.randint(-5, 5) for _ in range(4))
-        n = rng.randint(1, 12)
-        cuts = sorted(rng.randint(0, n) for _ in range(3))
-        counts = (cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], n - cuts[2])
+        game, counts, n = draw_field(rng)
         starts = [(Fraction(rng.randint(1, 9), 10), Fraction(rng.randint(1, 9), 10))
                   for _ in range(2)]
-        yield orbit_class(*exact_brackets(game, counts, n)), game, counts, n, starts
+        yield exact.orbit_class(*exact.brackets(game, counts)), game, counts, n, starts
 
 
 DRAWN = list(drawn_fields())
@@ -79,7 +61,7 @@ def test_corner_class_converges_to_the_predicted_corner():
     for kind, game, counts, n, starts in DRAWN:
         if kind != "corner":
             continue
-        corner = sink(*exact_brackets(game, counts, n))
+        corner = exact.sink(*exact.brackets(game, counts))
         fld = field(game, counts, n)
         for start in starts:
             traj = integrate(fld, (float(start[0]), float(start[1])))
@@ -98,7 +80,7 @@ def test_center_class_orbits_are_closed():
     for kind, game, counts, n, starts in DRAWN:
         if kind != "center":
             continue
-        p, q, r, s = exact_brackets(game, counts, n)
+        p, q, r, s = exact.brackets(game, counts)
         fld = field(game, counts, n)
         size = max(abs(fld.x_constant), abs(fld.x_slope), abs(fld.y_constant),
                    abs(fld.y_slope))
@@ -106,7 +88,7 @@ def test_center_class_orbits_are_closed():
             x0, y0 = float(start[0]), float(start[1])
             traj = integrate(fld, (x0, y0), step=0.01, max_steps=20_000)
             checked += 1
-            if start == (-r / s, -p / q):  # the rest point itself
+            if start == (Fraction(-r, s), Fraction(-p, q)):  # the rest point itself
                 if not (traj.status == "converged" and len(traj) == 1):
                     misses.append((game, counts, n, start, traj.status, len(traj)))
                 continue
@@ -118,6 +100,64 @@ def test_center_class_orbits_are_closed():
     assert checked >= 10 and misses == []
 
 
+def saddle_fields():
+    """40 drawn fields of the saddle class, each with two starts on the grid of
+    twentieths: (game, counts, n, starts)."""
+    rng = random.Random(11)
+    fields = []
+    while len(fields) < 40:
+        game, counts, n = draw_field(rng)
+        if exact.orbit_class(*exact.brackets(game, counts)) == "saddle":
+            starts = [(Fraction(rng.randint(1, 19), 20), Fraction(rng.randint(1, 19), 20))
+                      for _ in range(2)]
+            fields.append((game, counts, n, starts))
+    return fields
+
+
+def saddle_basin(p, q, r, s, start, dh):
+    """The corner the orbit from start tends to, where H(start) - H* = dh.
+
+    H is a sum F(x) + G(y), so each quadrant around the rest point (x*, y*) =
+    (-r/s, -p/q) holds one separatrix branch.  The unstable ones lie in the
+    quadrants with sign(x - x*) sign(y - y*) = sign(q) and end at their
+    quadrant's corner.  In each other quadrant a start lies on one side of the
+    stable branch: on the side of the ray y = y* where H - H* has the sign of
+    F''(x*) = -s^3 / (r (r+s)), and it follows that ray's unstable branch;
+    otherwise it follows the one beyond the ray x = x*.
+    """
+    sx = 1 if start[0] > Fraction(-r, s) else -1
+    sy = 1 if start[1] > Fraction(-p, q) else -1
+    if sx * sy * q < 0:
+        if (dh > 0) == (-s * r * (r + s) > 0):
+            sy = -sy
+        else:
+            sx = -sx
+    return (1 + sx) // 2, (1 + sy) // 2
+
+
+def test_saddle_class_converges_to_the_corner_of_its_basin():
+    # A start on the lines through the rest point, or so near the separatrix
+    # level that the float H cannot place it, is skipped.
+    misses, checked = [], 0
+    for game, counts, n, starts in saddle_fields():
+        p, q, r, s = exact.brackets(game, counts)
+        rest = Fraction(-r, s), Fraction(-p, q)
+        fld = field(game, counts, n)
+        h_rest = first_integral(fld, float(rest[0]), float(rest[1]))
+        for start in starts:
+            x0, y0 = float(start[0]), float(start[1])
+            dh = first_integral(fld, x0, y0) - h_rest
+            if start[0] == rest[0] or start[1] == rest[1] or abs(dh) < 1e-7:
+                continue
+            corner = saddle_basin(p, q, r, s, start, dh)
+            traj = integrate(fld, (x0, y0), step=0.01, max_steps=200_000)
+            checked += 1
+            if not (traj.status == "converged" and abs(traj.final[0] - corner[0]) <= 1e-6
+                    and abs(traj.final[1] - corner[1]) <= 1e-6):
+                misses.append((game, counts, n, start, corner, traj.status, traj.final))
+    assert checked >= 70 and misses == []
+
+
 # Two center-class games whose orbit from (0.2, 0.3) passes the saddle corner
 # (1, 1) so closely that both velocities fall below the convergence tolerance.
 SADDLE_STOPS = [((3, 4, -3, -4), (10, 7, 5, 0), 22), ((-2, 5, -2, -4), (7, 10, 10, 3), 30)]
@@ -125,7 +165,7 @@ SADDLE_STOPS = [((3, 4, -3, -4), (10, 7, 5, 0), 22), ((-2, 5, -2, -4), (7, 10, 1
 
 @pytest.mark.parametrize("game, counts, n", SADDLE_STOPS)
 def test_saddle_stop_games_are_center_class(game, counts, n):
-    assert orbit_class(*exact_brackets(game, counts, n)) == "center"
+    assert exact.orbit_class(*exact.brackets(game, counts)) == "center"
 
 
 @pytest.mark.xfail(strict=True, reason="integrate reports converged at a saddle corner "

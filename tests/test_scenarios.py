@@ -1,9 +1,10 @@
+import functools
 import math
 import random
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quantum_replicator import (
     InitialStateWeights,
@@ -20,6 +21,8 @@ from quantum_replicator import (
 from quantum_replicator.scenarios import RESOLUTION_LIMIT, Check
 from quantum_replicator.stability import DEFAULT_ZERO_TOL
 
+import exact
+
 # Any finite float, plus small integers and multiples of the sign
 # tolerance, so that margins and roots land exactly on 0 or on +-tol at
 # lattice points.
@@ -34,16 +37,23 @@ games = st.one_of(
 
 def scan_by_comparison(game, r):
     """The scan as a full classical-vs-quantum comparison at every lattice point."""
-    expected = []
-    for k11 in range(r + 1):
-        for k12 in range(r + 1 - k11):
-            for k21 in range(r + 1 - k11 - k12):
-                state = InitialStateWeights(k11 / r, k12 / r, k21 / r,
-                                            (r - k11 - k12 - k21) / r)
-                flip = compare_classical_quantum(game, state).flip
-                if flip != "none":
-                    expected.append((state, flip))
-    return expected
+    states = (InitialStateWeights(*(ki / r for ki in k)) for k in exact.parts(r))
+    return [(state, flip) for state in states
+            if (flip := compare_classical_quantum(game, state).flip) != "none"]
+
+
+def seeded_games():
+    """24 integer games with r up to 60: half of them with payoffs in [-1000, 1000],
+    half in [-3, 3], whose margins are often exactly zero."""
+    rng = random.Random(4)
+    for i in range(24):
+        bound = 3 if i // 4 % 2 else 1000
+        yield tuple(rng.randint(-bound, bound) for _ in range(4)), (7, 10, 30, 60)[i % 4]
+
+
+def examples(cases):
+    """The decorator that adds each of cases as a hypothesis @example."""
+    return lambda test: functools.reduce(lambda t, case: example(*case)(t), cases, test)
 
 
 class TestCaseA:
@@ -115,36 +125,6 @@ def test_make_case_dispatch():
         make_case("d")
 
 
-def exact_verdict(a, b, c, d, k11, k12, k21, k22):
-    """(is_ess, is_attractor) at (1, 0) in integer arithmetic, weights scaled by r."""
-    male = a * (k11 - k21) + b * (k22 - k12) > 0
-    return (male and c * (k11 - k12) + d * (k22 - k21) > 0,
-            male and c * (k22 - k12) + d * (k11 - k21) > 0)
-
-
-def exact_flip(classical, quantum):
-    """The flip label, an ESS change ranked above an attractor change."""
-    (c_ess, c_attractor), (q_ess, q_attractor) = classical, quantum
-    if q_ess != c_ess:
-        return "gained-ess" if q_ess else "lost-ess"
-    return "gained-attractor" if q_attractor else "lost-attractor"
-
-
-def scan_exact(a, b, c, d, r):
-    """The scan of an integer game, every lattice point decided exactly."""
-    classical = exact_verdict(a, b, c, d, 1, 0, 0, 0)
-    expected = []
-    for k11 in range(r + 1):
-        for k12 in range(r + 1 - k11):
-            for k21 in range(r + 1 - k11 - k12):
-                k22 = r - k11 - k12 - k21
-                quantum = exact_verdict(a, b, c, d, k11, k12, k21, k22)
-                if quantum != classical:
-                    expected.append(((k11 / r, k12 / r, k21 / r, k22 / r),
-                                     exact_flip(classical, quantum)))
-    return expected
-
-
 class TestScan:
     def test_lattice_size(self):
         # all C(r+3, 3) points are visited; count flips plus nones indirectly
@@ -178,19 +158,17 @@ class TestScan:
         with pytest.raises(ValidationError):
             scan_flip(SimplifiedGame(1, -1, -1, 1), 0)
 
-    def test_integer_games_decided_exactly(self):
+    @settings(max_examples=100)
+    @given(st.tuples(*[st.integers(-6, 6)] * 4), st.integers(1, 12))
+    @examples(seeded_games())
+    def test_integer_games_decided_exactly(self, payoffs, r):
         # For integer payoffs each margin at a lattice point is an integer over
         # r: a nonzero one is at least 1/r, far above the sign tolerance, and
         # the float rounding of a zero one stays far below it.  So the float
-        # scan must agree with integer arithmetic at every point.  Half the
-        # games draw small payoffs, whose margins are often exactly zero.
-        rng = random.Random(4)
-        for i in range(24):
-            bound = 3 if i // 4 % 2 else 1000
-            a, b, c, d = (rng.randint(-bound, bound) for _ in range(4))
-            r = (7, 10, 30, 60)[i % 4]
-            hits = scan_flip(SimplifiedGame(a, b, c, d), r)
-            assert [(s.as_tuple(), flip) for s, flip in hits] == scan_exact(a, b, c, d, r)
+        # scan must agree with integer arithmetic at every point.
+        hits = scan_flip(SimplifiedGame(*payoffs), r)
+        assert [(s.as_tuple(), flip) for s, flip in hits] == [
+            (tuple(ki / r for ki in k), flip) for k, flip in exact.scan(payoffs, r)]
 
     @pytest.mark.parametrize("resolution", [2.5, 3.0, True, "3"])
     def test_non_integer_resolution_rejected(self, resolution):
@@ -208,18 +186,15 @@ class TestScan:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
-    @pytest.mark.parametrize("game", [SimplifiedGame(1, -1, -1, 1),
-                                      SimplifiedGame(1, -1, 1, 2),
-                                      SimplifiedGame(1, 3, -2, -1)])
-    def test_matches_full_comparison_per_point(self, game):
-        # scan_flip computes the classical verdict once; comparing every
-        # lattice point in full must give the same hits in the same order.
-        assert scan_flip(game, 7) == scan_by_comparison(game, 7)
-
     @given(games, st.integers(1, 12))
     @example(SimplifiedGame(0.0, 0.0, 0.0, 0.0), 4)
     @example(SimplifiedGame(1.0, -1.0, 2.0, -2.0), 6)
     @example(SimplifiedGame(DEFAULT_ZERO_TOL, 0.0, DEFAULT_ZERO_TOL, 0.0), 3)
     @example(SimplifiedGame(1.7e308, -1.7e308, 1.7e308, 1.7e308), 5)
+    @example(SimplifiedGame(1, -1, -1, 1), 7)
+    @example(SimplifiedGame(1, -1, 1, 2), 7)
+    @example(SimplifiedGame(1, 3, -2, -1), 7)
     def test_matches_full_comparison_for_any_game(self, game, r):
+        # scan_flip computes the classical verdict once; comparing every
+        # lattice point in full must give the same hits in the same order.
         assert scan_flip(game, r) == scan_by_comparison(game, r)

@@ -17,9 +17,11 @@ directory of its own.  Its exit code, stdout, stderr and the bytes of every
 file left in that directory are compared.
 
 Prints the calls that differ, grouped by command and flags, and exits 1 if
-any call differs or a tree's run fails, 0 if none does.  The calls are kept small (grid at most 3,
-max-steps at most 200, resolution at most 8), so that a tree runs 500 of
-them in about a second.
+any call differs or a tree's run fails, 0 if none does.  The calls are kept
+small (grid at most 3, max-steps at most 200, resolution at most 8), so that a
+tree runs 500 of them in about a second.  The exception is a share of the
+portraits, with grid 3 and 2300 to 2499 steps: enough that the CLI splits their
+orbits across worker processes.
 """
 
 import argparse
@@ -82,13 +84,18 @@ def _draw_call(rng):
         elif where < 0.99:
             flags.append(("--spec", "."))
         if command in ("simulate", "portrait"):
+            # Grid 3 and 2300 steps or more: 9 seeds request 20 700 steps, above
+            # the CLI's floor of 20 000 for splitting a portrait's orbits across
+            # worker processes, which it does where two CPUs are usable.
+            forks = command == "portrait" and rng.random() < 0.6
             _draw_knob(rng, flags, options, "--max-steps", "max_steps",
-                       range(0, 201), (-1, 10 ** 8, "1e3", 2.0, True, OVERFLOW))
+                       range(2300, 2500) if forks else range(0, 201),
+                       (-1, 10 ** 8, "1e3", 2.0, True, OVERFLOW))
             _draw_knob(rng, flags, options, "--step", "step",
                        (0.1, 0.05, 0.25, 1.0, 0.01, 1e-3),
                        (0, -0.1, 1e300, "nan", "inf", 5e-324, OVERFLOW), required=False)
         if command == "portrait":
-            _draw_knob(rng, flags, options, "--grid", "grid", range(2, 4),
+            _draw_knob(rng, flags, options, "--grid", "grid", (3,) if forks else range(2, 4),
                        (1, 0, -1, 1001, "2.5", 2.0, "3"))
         if command == "scan":
             _draw_knob(rng, flags, options, "--resolution", "resolution", range(1, 9),
