@@ -11,6 +11,7 @@ from quantum_replicator import (
     compare_classical_quantum,
     corner_roots_10,
     k_params,
+    scan_flip,
     strict_ne_margins_10,
     verdict_10,
 )
@@ -213,6 +214,13 @@ class TestExactOracle:
         for tol in (DEFAULT_ZERO_TOL, 1e-6):
             v = verdict_10(game, state, tol=tol)
             assert (v.is_attractor, v.is_ess, v.marginal) == exact.verdict(payoffs, k)
+
+    @settings(max_examples=100)
+    @given(int_games, st.integers(1, 12))
+    def test_scan_hits_are_the_exact_flips(self, payoffs, r):
+        hits = scan_flip(SimplifiedGame(*payoffs), r)
+        assert [(tuple(round(w * r) for w in s.as_tuple()), flip)
+                for s, flip in hits] == exact.scan(payoffs, r)
 
     # Scaling a game by 2**k is exact and changes no sign.  Of 1000 draws, the full
     # verdict differs from the exact one at 893 and 649 for k = -40 and -30, where

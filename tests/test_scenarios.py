@@ -1,10 +1,9 @@
-import functools
 import math
 import random
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from quantum_replicator import (
     InitialStateWeights,
@@ -49,11 +48,6 @@ def seeded_games():
     for i in range(24):
         bound = 3 if i // 4 % 2 else 1000
         yield tuple(rng.randint(-bound, bound) for _ in range(4)), (7, 10, 30, 60)[i % 4]
-
-
-def examples(cases):
-    """The decorator that adds each of cases as a hypothesis @example."""
-    return lambda test: functools.reduce(lambda t, case: example(*case)(t), cases, test)
 
 
 class TestCaseA:
@@ -158,17 +152,15 @@ class TestScan:
         with pytest.raises(ValidationError):
             scan_flip(SimplifiedGame(1, -1, -1, 1), 0)
 
-    @settings(max_examples=100)
-    @given(st.tuples(*[st.integers(-6, 6)] * 4), st.integers(1, 12))
-    @examples(seeded_games())
-    def test_integer_games_decided_exactly(self, payoffs, r):
+    def test_integer_games_decided_exactly(self):
         # For integer payoffs each margin at a lattice point is an integer over
         # r: a nonzero one is at least 1/r, far above the sign tolerance, and
         # the float rounding of a zero one stays far below it.  So the float
         # scan must agree with integer arithmetic at every point.
-        hits = scan_flip(SimplifiedGame(*payoffs), r)
-        assert [(s.as_tuple(), flip) for s, flip in hits] == [
-            (tuple(ki / r for ki in k), flip) for k, flip in exact.scan(payoffs, r)]
+        for payoffs, r in seeded_games():
+            hits = scan_flip(SimplifiedGame(*payoffs), r)
+            assert [(s.as_tuple(), flip) for s, flip in hits] == [
+                (tuple(ki / r for ki in k), flip) for k, flip in exact.scan(payoffs, r)]
 
     @pytest.mark.parametrize("resolution", [2.5, 3.0, True, "3"])
     def test_non_integer_resolution_rejected(self, resolution):
@@ -186,15 +178,18 @@ class TestScan:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
+    @pytest.mark.parametrize("game", [SimplifiedGame(1, -1, -1, 1),
+                                      SimplifiedGame(1, -1, 1, 2),
+                                      SimplifiedGame(1, 3, -2, -1)])
+    def test_matches_full_comparison_per_point(self, game):
+        # scan_flip computes the classical verdict once; comparing every
+        # lattice point in full must give the same hits in the same order.
+        assert scan_flip(game, 7) == scan_by_comparison(game, 7)
+
     @given(games, st.integers(1, 12))
     @example(SimplifiedGame(0.0, 0.0, 0.0, 0.0), 4)
     @example(SimplifiedGame(1.0, -1.0, 2.0, -2.0), 6)
     @example(SimplifiedGame(DEFAULT_ZERO_TOL, 0.0, DEFAULT_ZERO_TOL, 0.0), 3)
     @example(SimplifiedGame(1.7e308, -1.7e308, 1.7e308, 1.7e308), 5)
-    @example(SimplifiedGame(1, -1, -1, 1), 7)
-    @example(SimplifiedGame(1, -1, 1, 2), 7)
-    @example(SimplifiedGame(1, 3, -2, -1), 7)
     def test_matches_full_comparison_for_any_game(self, game, r):
-        # scan_flip computes the classical verdict once; comparing every
-        # lattice point in full must give the same hits in the same order.
         assert scan_flip(game, r) == scan_by_comparison(game, r)
