@@ -22,8 +22,9 @@ from .dynamics import (DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS, DEFAULT_STEP,
                        MAX_STEPS_LIMIT, ReplicatorField, _portrait_seeds, integrate)
 from .ess import compare_classical_quantum
 from .games import (ClassicalBimatrix, InitialStateWeights, SimplifiedGame,
-                    ValidationError, _require_choice, k_params, quantum_transform)
-from .scenarios import make_case, scan_flip
+                    ValidationError, _require_choice, _require_count, k_params,
+                    quantum_transform)
+from .scenarios import RESOLUTION_LIMIT, _scan_lattice, make_case
 from .stability import DEFAULT_ZERO_TOL, DEGENERATE, interior_point, linearize
 
 __all__ = ["main"]
@@ -411,12 +412,13 @@ def _start_worker(fld, seeds, lo, hi, options):
 
 def _scan(args, spec):
     game = _parse_game(spec)
-    r = _option(args, spec, "resolution", 10)
-    hits = scan_flip(game, r)
+    # Checked before main opens --out: the rows below are made as they are written.
+    r = _require_count("resolution", _option(args, spec, "resolution", 10),
+                       maximum=RESOLUTION_LIMIT)
     # Every weight is some k / r: format each of them once, not once per cell.
-    cell = {k / r: str(k / r) for k in range(r + 1)}
-    return _csv_chunks(f"{cell[s.w11]},{cell[s.w12]},{cell[s.w21]},{cell[s.w22]},{flip}"
-                       for s, flip in hits), None
+    cells = [f"{k / r}," for k in range(r + 1)]
+    return _csv_chunks(f"{cells[k11]}{cells[k12]}{cells[k21]}{cells[k22]}{flip}"
+                       for k11, k12, k21, k22, flip in _scan_lattice(game, r)), None
 
 
 def _demo(args, spec):

@@ -31,10 +31,10 @@ __all__ = [
     "scan_flip",
 ]
 
-# A hit held by the scan command costs about 340 B at resolution 60 and 310 B at
-# 120 (its weights record and list entry; its CSV line is held only within its
-# chunk), so a scan of this resolution, with C(253, 3) = 2.67e6 lattice points,
-# peaks near 0.83 GB when every point is a hit.
+# A hit in the list that scan_flip returns costs about 304 B at resolution 60 and
+# 120 (its weights record and list entry), so at this resolution, with
+# C(253, 3) = 2.67e6 lattice points, the list nears 0.81 GB when every point is a
+# hit.  The scan command holds no such list, only the CSV chunk it is writing.
 RESOLUTION_LIMIT = 250
 
 
@@ -154,6 +154,38 @@ def make_case(label: str) -> ScenarioInstance:
     return cases[_require_choice("case", label, tuple(cases))]()
 
 
+def _scan_lattice(game: SimplifiedGame, r: int):
+    """The lattice parts (k11, k12, k21, k22) of r and the flip of each hit, in
+    scan_flip's order; r is not checked."""
+    classical = verdict_10(game, InitialStateWeights.classical())
+    classical_ess, classical_attractor = classical.is_ess, classical.is_attractor
+    # flips[is_ess][is_attractor]: the label of each outcome, decided once by _flip.
+    flips = [[_flip(classical_ess, classical_attractor, e, t) for t in (False, True)]
+             for e in (False, True)]
+    a, b, c, d = game.a, game.b, game.c, game.d
+    tol = DEFAULT_ZERO_TOL
+    neg_c, neg_tol = -c, -tol
+    w = [k / r for k in range(r + 1)]
+    for k11 in range(r + 1):
+        w11 = w[k11]
+        for k12 in range(r + 1 - k11):
+            w12 = w[k12]
+            female_c = c * (w11 - w12)
+            n = r - k11 - k12
+            for k21 in range(n + 1):
+                w21, w22 = w[k21], w[n - k21]
+                # verdict_10 inline, in the same floating-point order, with the terms
+                # that do not change with k21 computed once; the male margin a K1 + b K2
+                # is minus the first corner root up to the sign of a zero.
+                K1 = w11 - w21
+                K2 = w22 - w12
+                male = a * K1 + b * K2 > tol
+                is_attractor = male and neg_c * K2 - d * K1 < neg_tol
+                is_ess = male and female_c + d * (w22 - w21) > tol
+                if is_ess != classical_ess or is_attractor != classical_attractor:
+                    yield k11, k12, k21, n - k21, flips[is_ess][is_attractor]
+
+
 def scan_flip(game: SimplifiedGame, resolution: int):
     """Scan the weight simplex on a uniform lattice for stability flips.
 
@@ -163,30 +195,7 @@ def scan_flip(game: SimplifiedGame, resolution: int):
     ``resolution`` is at most ``RESOLUTION_LIMIT``.
     """
     r = _require_count("resolution", resolution, maximum=RESOLUTION_LIMIT)
-    classical = verdict_10(game, InitialStateWeights.classical())
-    classical_ess, classical_attractor = classical.is_ess, classical.is_attractor
-    # flips[is_ess][is_attractor]: the label of each outcome, decided once by _flip.
-    flips = [[_flip(classical_ess, classical_attractor, e, t) for t in (False, True)]
-             for e in (False, True)]
-    a, b, c, d = game.a, game.b, game.c, game.d
-    tol = DEFAULT_ZERO_TOL
+    # The hits share these floats: a fresh k / r per weight would hold a third more.
     w = [k / r for k in range(r + 1)]
-    hits = []
-    for k11 in range(r + 1):
-        w11 = w[k11]
-        for k12 in range(r + 1 - k11):
-            w12 = w[k12]
-            n = r + 1 - k11 - k12
-            # k21 runs up from 0 while k22 = r - k11 - k12 - k21 runs down.
-            for w21, w22 in zip(w[:n], w[n - 1::-1]):
-                # verdict_10 inline, in the same floating-point order; the male margin
-                # a K1 + b K2 is minus the first corner root up to the sign of a zero.
-                K1 = w11 - w21
-                K2 = w22 - w12
-                male = a * K1 + b * K2 > tol
-                is_attractor = male and -c * K2 - d * K1 < -tol
-                is_ess = male and c * (w11 - w12) + d * (w22 - w21) > tol
-                if is_ess != classical_ess or is_attractor != classical_attractor:
-                    hits.append((InitialStateWeights(w11, w12, w21, w22),
-                                 flips[is_ess][is_attractor]))
-    return hits
+    return [(InitialStateWeights(w[k11], w[k12], w[k21], w[k22]), flip)
+            for k11, k12, k21, k22, flip in _scan_lattice(game, r)]

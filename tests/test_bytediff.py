@@ -11,6 +11,7 @@ import shutil
 from pathlib import Path
 
 from quantum_replicator import cli
+from quantum_replicator.scenarios import RESOLUTION_LIMIT
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bytediff", ROOT / "tools" / "bytediff.py")
@@ -39,19 +40,25 @@ def run(capsys, change):
     return code, capsys.readouterr().out
 
 
-def requested_steps(call):
-    """grid * grid * max-steps of a drawn portrait call, its flags over its spec's
-    options; 0 where its words do not parse or the two are not integers."""
+def requested(call, *names):
+    """The values of the named options of a drawn call, its flags over its
+    spec's options; Nones where its words do not parse."""
     try:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             args = cli._parse_args(call["argv"])
     except SystemExit:
-        return 0
+        return [None] * len(names)
     spec = call["files"].get("spec.json")
     options = spec.get("options") if isinstance(spec, dict) else None
     spec = {"options": options} if isinstance(options, dict) else {}
-    grid, steps = (cli._option(args, spec, name, None) for name in ("grid", "max_steps"))
+    return [cli._option(args, spec, name, None) for name in names]
+
+
+def requested_steps(call):
+    """grid * grid * max-steps of a drawn portrait call; 0 where its words do not
+    parse or the two are not integers."""
+    grid, steps = requested(call, "grid", "max_steps")
     return grid * grid * steps if type(grid) is type(steps) is int else 0
 
 
@@ -73,6 +80,10 @@ def test_draws_are_seeded_and_cover_the_promised_inputs():
     # portraits that split their orbits across worker processes
     portraits = [call for call in calls if call["argv"][0] == "portrait"]
     assert sum(requested_steps(call) >= cli._FORK_MIN_STEPS for call in portraits) >= 10
+    # scans whose hits can fill more than one CSV chunk
+    resolutions = [requested(call, "resolution")[0] for call in calls
+                   if call["argv"][0] == "scan"]
+    assert sum(type(r) is int and 30 <= r <= RESOLUTION_LIMIT for r in resolutions) >= 10
 
 
 def test_a_copy_has_no_differences(tmp_path, capsys):

@@ -12,7 +12,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import quantum_replicator
 from quantum_replicator.cli import (_VALUE_FLAGS, COMMANDS, CSV_CHUNK_ROWS, _emit_json,
@@ -23,8 +23,10 @@ from quantum_replicator.dynamics import (GRID_LIMIT, MAX_STEPS_LIMIT, Replicator
 from quantum_replicator.ess import compare_classical_quantum
 from quantum_replicator.games import (ClassicalBimatrix, InitialStateWeights,
                                       SimplifiedGame, quantum_transform)
-from quantum_replicator.scenarios import RESOLUTION_LIMIT, make_case
-from quantum_replicator.stability import linearize
+from quantum_replicator.scenarios import RESOLUTION_LIMIT, make_case, scan_flip
+from quantum_replicator.stability import DEFAULT_ZERO_TOL, linearize
+
+from test_scenarios import games
 
 CASE_A_SPEC = {"game": {"a": 1, "b": -1, "c": -1, "d": 1},
                "weights": [0.3, 0.4, 0.1, 0.2]}
@@ -559,8 +561,43 @@ class TestScan:
         assert out_path.read_bytes() == b"kept\n"
         assert peak < 64 * 1024
 
+    @given(games, st.integers(1, 12))
+    @example(SimplifiedGame(0.0, 0.0, 0.0, 0.0), 4)
+    @example(SimplifiedGame(DEFAULT_ZERO_TOL, 0.0, DEFAULT_ZERO_TOL, 0.0), 3)
+    @example(SimplifiedGame(1.7e308, -1.7e308, 1.7e308, 1.7e308), 5)
+    def test_rows_are_the_library_hits(self, tmp_path_factory, game, r):
+        # The command walks the lattice itself: its rows must be scan_flip's hits.
+        spec = tmp_path_factory.mktemp("scan") / "spec.json"
+        spec.write_text(json.dumps({"game": asdict(game)}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["scan", "--spec", str(spec), "--resolution", str(r)])
+        rows = "".join(",".join([*map(repr, state.as_tuple()), flip]) + "\n"
+                       for state, flip in scan_flip(game, r))
+        assert (code, out.getvalue()) == (0, "w11,w12,w21,w22,flip\n" + rows)
+
+    def test_memory_does_not_grow_with_the_hits(self, spec_file, tmp_path):
+        # The rows are made as they are written, one CSV chunk at a time; holding
+        # every hit would make the resolution-120 peak about 7 times the 60 one.
+        spec = spec_file(CASE_A_SPEC)
+        out_path = tmp_path / "scan.csv"
+        build_parser()
+        peaks, hits = [], []
+        for resolution in (60, 120):
+            tracemalloc.start()
+            try:
+                code = main(["scan", "--spec", spec, "--resolution", str(resolution),
+                             "--out", str(out_path)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            hits.append(out_path.read_text().count("\n") - 1)
+        assert hits == [29_791, 226_981]
+        assert peaks[1] <= 1.5 * peaks[0]
+
     def test_memory_per_hit(self, spec_file, tmp_path):
-        # The hits are held, their CSV lines are not: about 340 B a hit here.
+        # Only the CSV chunk being written is held: about 38 B a hit here.
         out_path = tmp_path / "scan.csv"
         spec = spec_file({**CASE_A_SPEC, "weights": [1, 0, 0, 0]})
         build_parser()

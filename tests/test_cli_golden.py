@@ -126,6 +126,13 @@ GOLDEN = {
     "scan --spec full.json --resolution 6":
         (0, "d438dac52107b933f2b28ae26e7643f2f45134585a4a13625d362bed3a4e4ad9",
          EMPTY),
+    # 4096 hits, one full CSV chunk, and 9261 hits, three chunks.
+    "scan --spec case_a.json --resolution 30":
+        (0, "ec950ec6c7cef4fa71b12e46179f332c126c6f0f3696f9c9c085794d4bde28dc",
+         EMPTY),
+    "scan --spec case_a.json --resolution 40":
+        (0, "7bd84e293e923b9ad14f89fe9074a1e7dd875a49dce9d5f98f3665de22718c16",
+         EMPTY),
     "scan --spec case_a.json --resolution 0":
         (2, EMPTY,
          "542dd04619127db197e793e5969e7d77fad894a268070ebffba4dd72f4942a37"),

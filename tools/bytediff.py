@@ -19,9 +19,10 @@ file left in that directory are compared.
 Prints the calls that differ, grouped by command and flags, and exits 1 if
 any call differs or a tree's run fails, 0 if none does.  The calls are kept
 small (grid at most 3, max-steps at most 200, resolution at most 8), so that a
-tree runs 500 of them in about a second.  The exception is a share of the
+tree runs 500 of them in about a second.  The exceptions are a share of the
 portraits, with grid 3 and 2300 to 2499 steps: enough that the CLI splits their
-orbits across worker processes.
+orbits across worker processes; and a share of the scans, with resolution 30 to
+48: enough that a scan with many hits writes more than one CSV chunk.
 """
 
 import argparse
@@ -98,7 +99,11 @@ def _draw_call(rng):
             _draw_knob(rng, flags, options, "--grid", "grid", (3,) if forks else range(2, 4),
                        (1, 0, -1, 1001, "2.5", 2.0, "3"))
         if command == "scan":
-            _draw_knob(rng, flags, options, "--resolution", "resolution", range(1, 9),
+            # From resolution 30 the lattice has 5456 points or more, so its hits
+            # can fill more than one chunk of the CLI's 4096 CSV rows.
+            chunks = rng.random() < 0.3
+            _draw_knob(rng, flags, options, "--resolution", "resolution",
+                       range(30, 49) if chunks else range(1, 9),
                        (0, -2, 251, "4.0", 4.0, None))
         if "--tol" in COMMAND_FLAGS[command]:
             _draw_knob(rng, flags, options, "--tol", "tol",
