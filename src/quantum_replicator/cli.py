@@ -17,6 +17,7 @@ import os
 import sys
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
+from operator import add
 
 from .dynamics import (DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS, DEFAULT_STEP,
                        MAX_STEPS_LIMIT, ReplicatorField, _portrait_seeds, integrate)
@@ -24,7 +25,7 @@ from .ess import compare_classical_quantum
 from .games import (ClassicalBimatrix, InitialStateWeights, SimplifiedGame,
                     ValidationError, _require_choice, _require_count, k_params,
                     quantum_transform)
-from .scenarios import RESOLUTION_LIMIT, _scan_lattice, make_case
+from .scenarios import RESOLUTION_LIMIT, _scan_runs, make_case
 from .stability import DEFAULT_ZERO_TOL, DEGENERATE, interior_point, linearize
 
 __all__ = ["main"]
@@ -415,10 +416,32 @@ def _scan(args, spec):
     # Checked before main opens --out: the rows below are made as they are written.
     r = _require_count("resolution", _option(args, spec, "resolution", 10),
                        maximum=RESOLUTION_LIMIT)
+    return _run_chunks(_scan_runs(game, r), r), None
+
+
+def _run_chunks(runs, r):
+    """The CSV text of the scan runs (k11, k12, lo, hi, flip), whole runs at a time
+    in pieces of CSV_CHUNK_ROWS lines or a run more.
+
+    Row k21 of a run is the cells of k11, k12, k21 and k22 = r - k11 - k12 - k21,
+    then the flip: the rows of a run are one join of its k21 and k22 cells, in step.
+    """
     # Every weight is some k / r: format each of them once, not once per cell.
     cells = [f"{k / r}," for k in range(r + 1)]
-    return _csv_chunks(f"{cells[k11]}{cells[k12]}{cells[k21]}{cells[k22]}{flip}"
-                       for k11, k12, k21, k22, flip in _scan_lattice(game, r)), None
+    k22_cells = cells[::-1]  # k22_cells[k11 + k12 + k21] is the k22 cell
+    texts, rows = [], 0
+    for k11, k12, lo, hi, flip in runs:
+        head, skip = cells[k11] + cells[k12], k11 + k12
+        joined = f"{flip}\n{head}".join(map(add, cells[lo:hi],
+                                             k22_cells[skip + lo:skip + hi]))
+        # The run's rows, without the newline after the last: _csv_piece adds it.
+        texts.append(f"{head}{joined}{flip}")
+        rows += hi - lo
+        if rows >= CSV_CHUNK_ROWS:
+            yield _csv_piece(texts)
+            texts, rows = [], 0
+    if texts:
+        yield _csv_piece(texts)
 
 
 def _demo(args, spec):

@@ -46,6 +46,15 @@ class EssMargins:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
+    """The verdicts at the corner (1, 0) for one initial state.
+
+    is_attractor: both linearization roots are below -tol.  is_ess: the male
+    margin (minus the first root) and the female margin are above tol, so (1, 0)
+    is a strict NE.  marginal: a root or the female margin is within tol of 0,
+    so a verdict rests on the tolerance.  roots and margins are the values the
+    verdicts were read from.
+    """
+
     is_attractor: bool
     is_ess: bool
     marginal: bool
@@ -55,6 +64,10 @@ class StabilityVerdict:
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """The verdicts for the classical state (1, 0, 0, 0) and for a quantum state,
+    and the flip label between them: "none", or which of the ESS and attractor
+    properties the quantum state gained or lost, an ESS change ranked first."""
+
     classical: StabilityVerdict
     quantum: StabilityVerdict
     flip: str

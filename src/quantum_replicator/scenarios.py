@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynamics import ReplicatorField
-from .ess import _flip, compare_classical_quantum, verdict_10
+from .ess import FLIP_NONE, _flip, compare_classical_quantum, verdict_10
 from .games import (InitialStateWeights, SimplifiedGame, ValidationError,
                     _require_choice, _require_count)
 from .stability import DEFAULT_ZERO_TOL, interior_lambda_sq, interior_point
@@ -40,6 +40,9 @@ RESOLUTION_LIMIT = 250
 
 @dataclass(frozen=True)
 class Check:
+    """One defining inequality of a showcase instance: its name, the value it
+    tests and whether the instance satisfies it."""
+
     name: str
     value: float
     ok: bool
@@ -47,6 +50,9 @@ class Check:
 
 @dataclass(frozen=True)
 class ScenarioInstance:
+    """A showcase game and initial state with the checks that verify its story;
+    building one with a failed check raises ValidationError."""
+
     game: SimplifiedGame
     state: InitialStateWeights
     case_label: str
@@ -154,14 +160,40 @@ def make_case(label: str) -> ScenarioInstance:
     return cases[_require_choice("case", label, tuple(cases))]()
 
 
+# Integer payoffs of at most this size are decided exactly, a lattice line at a
+# time, with the verdicts of the float loop.  Each sign the float loop decides is
+# that of a form x (w - w') + y (v - v'), with x and y among a, b, c, d and their
+# negations and each w = k / r rounded, so |x| + |y| <= 2**17.  With u = 2**-53, a rounded weight
+# errs by at most u times itself, at most u; a difference of two weights by at most
+# 3u (2u from its operands, u from its rounding); a product x D by at most 4u |x|;
+# and the sum by at most 5u (|x| + |y|), all to first order.  So 9u (|x| + |y|),
+# which leaves room for the second-order terms, bounds the error of every form:
+# 9 * 2**-36 = 1.3e-10 at this limit, below DEFAULT_ZERO_TOL.  The exact value of
+# each form is an integer over r <= RESOLUTION_LIMIT, so a nonzero one is at least
+# 1/250 in size.  A float form is therefore > DEFAULT_ZERO_TOL exactly when its
+# integer form is > 0, and < -DEFAULT_ZERO_TOL exactly when it is < 0.
+_EXACT_PAYOFF_LIMIT = 2 ** 16
+
+
+def _flip_table(classical):
+    """flips[is_ess][is_attractor]: the flip label of each quantum outcome against
+    the classical verdict, FLIP_NONE for the classical outcome itself."""
+    return [[_flip(classical.is_ess, classical.is_attractor, e, t) for t in (False, True)]
+            for e in (False, True)]
+
+
 def _scan_lattice(game: SimplifiedGame, r: int):
-    """The lattice parts (k11, k12, k21, k22) of r and the flip of each hit, in
-    scan_flip's order; r is not checked."""
+    """The runs (k11, k12, lo, hi, flip) of the hits, decided point by point.
+
+    A run is the lattice parts (k11, k12, k21, r - k11 - k12 - k21) for k21 in
+    range(lo, hi), all hits with one flip label; no two runs that meet share a
+    label, and the runs come in scan_flip's order.  r is not checked.
+    """
     classical = verdict_10(game, InitialStateWeights.classical())
+    flips = _flip_table(classical)
+    # Read at the start of each line: locals cost less than attributes and globals.
     classical_ess, classical_attractor = classical.is_ess, classical.is_attractor
-    # flips[is_ess][is_attractor]: the label of each outcome, decided once by _flip.
-    flips = [[_flip(classical_ess, classical_attractor, e, t) for t in (False, True)]
-             for e in (False, True)]
+    none = FLIP_NONE
     a, b, c, d = game.a, game.b, game.c, game.d
     tol = DEFAULT_ZERO_TOL
     neg_c, neg_tol = -c, -tol
@@ -172,6 +204,7 @@ def _scan_lattice(game: SimplifiedGame, r: int):
             w12 = w[k12]
             female_c = c * (w11 - w12)
             n = r - k11 - k12
+            lo, run, ess, attractor = 0, none, classical_ess, classical_attractor
             for k21 in range(n + 1):
                 w21, w22 = w[k21], w[n - k21]
                 # verdict_10 inline, in the same floating-point order, with the terms
@@ -182,8 +215,71 @@ def _scan_lattice(game: SimplifiedGame, r: int):
                 male = a * K1 + b * K2 > tol
                 is_attractor = male and neg_c * K2 - d * K1 < neg_tol
                 is_ess = male and female_c + d * (w22 - w21) > tol
-                if is_ess != classical_ess or is_attractor != classical_attractor:
-                    yield k11, k12, k21, n - k21, flips[is_ess][is_attractor]
+                # Most points repeat the outcome of the one before, and two
+                # outcomes may share a label.
+                if is_ess is not ess or is_attractor is not attractor:
+                    ess, attractor = is_ess, is_attractor
+                    flip = flips[ess][attractor]
+                    if flip is not run:
+                        if run is not none:
+                            yield k11, k12, lo, k21, run
+                        lo, run = k21, flip
+            if run is not none:
+                yield k11, k12, lo, n + 1, run
+
+
+def _scan_integer(game: SimplifiedGame, r: int):
+    """The runs of _scan_lattice for a game of integer payoffs of at most
+    _EXACT_PAYOFF_LIMIT in size, decided a lattice line (k11, k12) at a time.
+
+    On a line, with n = r - k11 - k12, r times each of the three forms of the
+    verdict is s0 - s k21: the male margin (a k11 + b (n - k12), a + b), the
+    female root form (c (n - k12) + d k11, c + d) and the female margin
+    (c (k11 - k12) + d n, 2 d).  Each is positive on a prefix or a suffix of
+    [0, n], so the line splits into at most four runs of one outcome.
+    """
+    flips = _flip_table(verdict_10(game, InitialStateWeights.classical()))
+    a, b, c, d = (int(p) for p in (game.a, game.b, game.c, game.d))
+    # A form is positive for the k21 below its cut ceil(s0 / s) when s > 0, and for
+    # those from its cut floor(s0 / s) + 1 on when s < 0.  When s = 0 its cut is
+    # n + 1 or 0, by the sign of s0, and it is positive below it.
+    male_s, root_s, female_s = a + b, c + d, 2 * d
+    male_below, root_below, female_below = male_s >= 0, root_s >= 0, female_s >= 0
+    for k11 in range(r + 1):
+        for k12 in range(r + 1 - k11):
+            n = r - k11 - k12
+            s0 = a * k11 + b * (n - k12)
+            male = ((-(-s0 // male_s) if male_below else s0 // male_s + 1) if male_s
+                    else n + 1 if s0 > 0 else 0)
+            s0 = c * (n - k12) + d * k11
+            root = ((-(-s0 // root_s) if root_below else s0 // root_s + 1) if root_s
+                    else n + 1 if s0 > 0 else 0)
+            s0 = c * (k11 - k12) + d * n
+            female = ((-(-s0 // female_s) if female_below else s0 // female_s + 1)
+                      if female_s else n + 1 if s0 > 0 else 0)
+            lo, run = 0, FLIP_NONE
+            # The outcome changes only at a cut: from 0 and from each cut in [0, n]
+            # it holds up to the next.  A repeated cut repeats the outcome.
+            for start in sorted((0, male, root, female)):
+                if 0 <= start <= n:
+                    is_male = (start < male) == male_below
+                    flip = flips[is_male and (start < female) == female_below][
+                        is_male and (start < root) == root_below]
+                    if flip is not run:
+                        if run is not FLIP_NONE:
+                            yield k11, k12, lo, start, run
+                        lo, run = start, flip
+            if run is not FLIP_NONE:
+                yield k11, k12, lo, n + 1, run
+
+
+def _scan_runs(game: SimplifiedGame, r: int):
+    """The runs (k11, k12, lo, hi, flip) of the hits of game at resolution r, from
+    _scan_integer where it applies, else from _scan_lattice: the same runs."""
+    payoffs = (game.a, game.b, game.c, game.d)
+    if all(p.is_integer() and abs(p) <= _EXACT_PAYOFF_LIMIT for p in payoffs):
+        return _scan_integer(game, r)
+    return _scan_lattice(game, r)
 
 
 def scan_flip(game: SimplifiedGame, resolution: int):
@@ -197,5 +293,5 @@ def scan_flip(game: SimplifiedGame, resolution: int):
     r = _require_count("resolution", resolution, maximum=RESOLUTION_LIMIT)
     # The hits share these floats: a fresh k / r per weight would hold a third more.
     w = [k / r for k in range(r + 1)]
-    return [(InitialStateWeights(w[k11], w[k12], w[k21], w[k22]), flip)
-            for k11, k12, k21, k22, flip in _scan_lattice(game, r)]
+    return [(InitialStateWeights(w[k11], w[k12], w[k21], w[r - k11 - k12 - k21]), flip)
+            for k11, k12, lo, hi, flip in _scan_runs(game, r) for k21 in range(lo, hi)]

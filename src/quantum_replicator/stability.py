@@ -46,6 +46,10 @@ DENOMINATOR_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Equilibrium:
+    """A rest point (x, y) of the planar field: kind "corner" for a corner of the
+    unit square, or "interior" for the point where both face brackets vanish,
+    which inside_unit_square tells apart from one outside the square."""
+
     x: float
     y: float
     kind: str  # "corner" | "interior"

@@ -17,7 +17,8 @@ from quantum_replicator import (
     make_case_c,
     scan_flip,
 )
-from quantum_replicator.scenarios import RESOLUTION_LIMIT, Check
+from quantum_replicator.scenarios import (RESOLUTION_LIMIT, Check, _scan_integer,
+                                         _scan_lattice, _scan_runs)
 from quantum_replicator.stability import DEFAULT_ZERO_TOL
 
 import exact
@@ -161,6 +162,30 @@ class TestScan:
             hits = scan_flip(SimplifiedGame(*payoffs), r)
             assert [(s.as_tuple(), flip) for s, flip in hits] == [
                 (tuple(ki / r for ki in k), flip) for k, flip in exact.scan(payoffs, r)]
+
+    @given(st.tuples(*[st.integers(-6, 6)] * 4), st.integers(1, 40))
+    @example((3, -3, 2, 5), 17)  # a + b = 0: the male margin is constant on a line
+    @example((2, 5, -4, 4), 17)  # c + d = 0: so is the female root form
+    @example((-3, 4, 2, 0), 17)  # d = 0: so is the female margin
+    @example((0, 0, 0, 0), 9)
+    @example((1, -1, -1, 1), 1)
+    @example((2**16, -2**16 + 1, -2**16, 2**16), 23)
+    @example((-2**16, 2**16, 2**16 - 1, -2**16), 23)
+    @example((2**16 + 1, -2**16, -2**16, 2**16), 23)
+    def test_integer_runs_are_the_per_point_runs(self, payoffs, r):
+        # Integer payoffs up to 2**16 in size are decided a line at a time, any
+        # other game point by point: both must give the same runs, and so the
+        # same hits.  Runs that meet never share a label.
+        game = SimplifiedGame(*payoffs)
+        in_bound = max(map(abs, payoffs)) <= 2**16
+        decider = _scan_integer if in_bound else _scan_lattice
+        assert _scan_runs(game, r).gi_code is decider.__code__
+        expected = list(_scan_lattice(game, r))
+        if in_bound:
+            assert list(_scan_integer(game, r)) == expected
+        for (*line, _, hi, flip), (*next_line, lo, _, next_flip) in zip(expected,
+                                                                        expected[1:]):
+            assert (line, hi, flip) != (next_line, lo, next_flip)
 
     @pytest.mark.parametrize("resolution", [2.5, 3.0, True, "3"])
     def test_non_integer_resolution_rejected(self, resolution):
