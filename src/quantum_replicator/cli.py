@@ -23,9 +23,8 @@ from .dynamics import (DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS, DEFAULT_STEP,
                        MAX_STEPS_LIMIT, ReplicatorField, _portrait_seeds, integrate)
 from .ess import compare_classical_quantum
 from .games import (ClassicalBimatrix, InitialStateWeights, SimplifiedGame,
-                    ValidationError, _require_choice, _require_count, k_params,
-                    quantum_transform)
-from .scenarios import RESOLUTION_LIMIT, _scan_runs, make_case
+                    ValidationError, _require_choice, k_params, quantum_transform)
+from .scenarios import _scan_runs, make_case
 from .stability import DEFAULT_ZERO_TOL, DEGENERATE, interior_point, linearize
 
 __all__ = ["main"]
@@ -413,9 +412,8 @@ def _start_worker(fld, seeds, lo, hi, options):
 
 def _scan(args, spec):
     game = _parse_game(spec)
-    # Checked before main opens --out: the rows below are made as they are written.
-    r = _require_count("resolution", _option(args, spec, "resolution", 10),
-                       maximum=RESOLUTION_LIMIT)
+    r = _option(args, spec, "resolution", 10)
+    # _scan_runs checks r before main opens --out: the rows are made as written.
     return _run_chunks(_scan_runs(game, r), r), None
 
 

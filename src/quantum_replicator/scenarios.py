@@ -175,11 +175,12 @@ def make_case(label: str) -> ScenarioInstance:
 _EXACT_PAYOFF_LIMIT = 2 ** 16
 
 
-def _flip_table(classical):
-    """flips[is_ess][is_attractor]: the flip label of each quantum outcome against
-    the classical verdict, FLIP_NONE for the classical outcome itself."""
-    return [[_flip(classical.is_ess, classical.is_attractor, e, t) for t in (False, True)]
-            for e in (False, True)]
+def _flip_table(game):
+    """The classical verdict of game and flips[is_ess][is_attractor]: the flip label
+    of each quantum outcome against it, FLIP_NONE for the classical outcome itself."""
+    classical = verdict_10(game, InitialStateWeights.classical())
+    return classical, [[_flip(classical.is_ess, classical.is_attractor, e, t)
+                        for t in (False, True)] for e in (False, True)]
 
 
 def _scan_lattice(game: SimplifiedGame, r: int):
@@ -187,10 +188,9 @@ def _scan_lattice(game: SimplifiedGame, r: int):
 
     A run is the lattice parts (k11, k12, k21, r - k11 - k12 - k21) for k21 in
     range(lo, hi), all hits with one flip label; no two runs that meet share a
-    label, and the runs come in scan_flip's order.  r is not checked.
+    label, and the runs come in scan_flip's order.
     """
-    classical = verdict_10(game, InitialStateWeights.classical())
-    flips = _flip_table(classical)
+    classical, flips = _flip_table(game)
     # Read at the start of each line: locals cost less than attributes and globals.
     classical_ess, classical_attractor = classical.is_ess, classical.is_attractor
     none = FLIP_NONE
@@ -238,7 +238,7 @@ def _scan_integer(game: SimplifiedGame, r: int):
     (c (k11 - k12) + d n, 2 d).  Each is positive on a prefix or a suffix of
     [0, n], so the line splits into at most four runs of one outcome.
     """
-    flips = _flip_table(verdict_10(game, InitialStateWeights.classical()))
+    _, flips = _flip_table(game)
     a, b, c, d = (int(p) for p in (game.a, game.b, game.c, game.d))
     # A form is positive for the k21 below its cut ceil(s0 / s) when s > 0, and for
     # those from its cut floor(s0 / s) + 1 on when s < 0.  When s = 0 its cut is
@@ -275,7 +275,9 @@ def _scan_integer(game: SimplifiedGame, r: int):
 
 def _scan_runs(game: SimplifiedGame, r: int):
     """The runs (k11, k12, lo, hi, flip) of the hits of game at resolution r, from
-    _scan_integer where it applies, else from _scan_lattice: the same runs."""
+    _scan_integer where it applies, else from _scan_lattice: the same runs.  r is
+    checked here, before any run is made, not when the runs are read."""
+    _require_count("resolution", r, maximum=RESOLUTION_LIMIT)
     payoffs = (game.a, game.b, game.c, game.d)
     if all(p.is_integer() and abs(p) <= _EXACT_PAYOFF_LIMIT for p in payoffs):
         return _scan_integer(game, r)
@@ -290,8 +292,8 @@ def scan_flip(game: SimplifiedGame, resolution: int):
     (weights, flip) pairs whose classical-vs-quantum comparison flips.
     ``resolution`` is at most ``RESOLUTION_LIMIT``.
     """
-    r = _require_count("resolution", resolution, maximum=RESOLUTION_LIMIT)
+    runs, r = _scan_runs(game, resolution), resolution  # r is checked by _scan_runs
     # The hits share these floats: a fresh k / r per weight would hold a third more.
     w = [k / r for k in range(r + 1)]
     return [(InitialStateWeights(w[k11], w[k12], w[k21], w[r - k11 - k12 - k21]), flip)
-            for k11, k12, lo, hi, flip in _scan_runs(game, r) for k21 in range(lo, hi)]
+            for k11, k12, lo, hi, flip in runs for k21 in range(lo, hi)]

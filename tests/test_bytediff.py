@@ -86,6 +86,13 @@ def test_draws_are_seeded_and_cover_the_promised_inputs():
     assert sum(type(r) is int and 30 <= r <= RESOLUTION_LIMIT for r in resolutions) >= 10
 
 
+def test_command_flags_are_the_cli_flags():
+    # A flag the CLI gains must be drawn too.
+    assert bytediff.COMMAND_FLAGS == {
+        name: tuple(f for f in command.flags if f.startswith("--"))
+        for name, command in cli.COMMANDS.items()}
+
+
 def test_a_copy_has_no_differences(tmp_path, capsys):
     code, out = run(capsys, copy_tree(tmp_path))
     assert code == 0

@@ -133,6 +133,11 @@ GOLDEN = {
     "scan --spec case_a.json --resolution 40":
         (0, "7bd84e293e923b9ad14f89fe9074a1e7dd875a49dce9d5f98f3665de22718c16",
          EMPTY),
+    # full.json reduces to a game of non-integer payoffs, scanned point by point:
+    # 6621 hits, two chunks.
+    "scan --spec full.json --resolution 40":
+        (0, "44cd2862a8ae2b132c03d686bdd8f6232d839fa2be43268a4d7d2a445669781f",
+         EMPTY),
     "scan --spec case_a.json --resolution 0":
         (2, EMPTY,
          "542dd04619127db197e793e5969e7d77fad894a268070ebffba4dd72f4942a37"),

@@ -17,8 +17,8 @@ from quantum_replicator import (
     make_case_c,
     scan_flip,
 )
-from quantum_replicator.scenarios import (RESOLUTION_LIMIT, Check, _scan_integer,
-                                         _scan_lattice, _scan_runs)
+from quantum_replicator.scenarios import (_EXACT_PAYOFF_LIMIT, RESOLUTION_LIMIT, Check,
+                                         _scan_integer, _scan_lattice, _scan_runs)
 from quantum_replicator.stability import DEFAULT_ZERO_TOL
 
 import exact
@@ -186,6 +186,16 @@ class TestScan:
         for (*line, _, hi, flip), (*next_line, lo, _, next_flip) in zip(expected,
                                                                         expected[1:]):
             assert (line, hi, flip) != (next_line, lo, next_flip)
+
+    def test_exact_payoff_limit_leaves_float_signs_exact(self):
+        # The error bound of _EXACT_PAYOFF_LIMIT's comment: every float form errs by
+        # less than the tolerance, and a nonzero exact form, at least 1/r in size,
+        # clears the tolerance by more than that error.  So the integer decider and
+        # the float loop give each form the same sign.
+        u = 2.0 ** -53
+        bound = 9 * u * 2 * _EXACT_PAYOFF_LIMIT
+        assert bound < DEFAULT_ZERO_TOL
+        assert DEFAULT_ZERO_TOL + bound < 1 / RESOLUTION_LIMIT
 
     @pytest.mark.parametrize("resolution", [2.5, 3.0, True, "3"])
     def test_non_integer_resolution_rejected(self, resolution):
