@@ -191,7 +191,7 @@ def _scan_lattice(game: SimplifiedGame, r: int):
     label, and the runs come in scan_flip's order.
     """
     classical, flips = _flip_table(game)
-    # Read at the start of each line: locals cost less than attributes and globals.
+    # Read once, before the line loops: locals cost less than attributes and globals.
     classical_ess, classical_attractor = classical.is_ess, classical.is_attractor
     none = FLIP_NONE
     a, b, c, d = game.a, game.b, game.c, game.d
@@ -235,36 +235,32 @@ def _scan_integer(game: SimplifiedGame, r: int):
     On a line, with n = r - k11 - k12, r times each of the three forms of the
     verdict is s0 - s k21: the male margin (a k11 + b (n - k12), a + b), the
     female root form (c (n - k12) + d k11, c + d) and the female margin
-    (c (k11 - k12) + d n, 2 d).  Each is positive on a prefix or a suffix of
-    [0, n], so the line splits into at most four runs of one outcome.
+    (c (k11 - k12) + d n, 2 d).  Each changes sign at most once on [0, n], so
+    the line splits into at most four runs of one outcome.
     """
     _, flips = _flip_table(game)
     a, b, c, d = (int(p) for p in (game.a, game.b, game.c, game.d))
-    # A form is positive for the k21 below its cut ceil(s0 / s) when s > 0, and for
-    # those from its cut floor(s0 / s) + 1 on when s < 0.  When s = 0 its cut is
-    # n + 1 or 0, by the sign of s0, and it is positive below it.
     male_s, root_s, female_s = a + b, c + d, 2 * d
-    male_below, root_below, female_below = male_s >= 0, root_s >= 0, female_s >= 0
+    # A form is positive below its cut ceil(s0 / s) when s > 0, and from its cut
+    # floor(s0 / s) + 1 on when s < 0: either way the cut is (s0 + t) // s.
+    male_t, root_t, female_t = (s - 1 if s > 0 else s for s in (male_s, root_s, female_s))
     for k11 in range(r + 1):
         for k12 in range(r + 1 - k11):
             n = r - k11 - k12
-            s0 = a * k11 + b * (n - k12)
-            male = ((-(-s0 // male_s) if male_below else s0 // male_s + 1) if male_s
-                    else n + 1 if s0 > 0 else 0)
-            s0 = c * (n - k12) + d * k11
-            root = ((-(-s0 // root_s) if root_below else s0 // root_s + 1) if root_s
-                    else n + 1 if s0 > 0 else 0)
-            s0 = c * (k11 - k12) + d * n
-            female = ((-(-s0 // female_s) if female_below else s0 // female_s + 1)
-                      if female_s else n + 1 if s0 > 0 else 0)
+            male0 = a * k11 + b * (n - k12)
+            root0 = c * (n - k12) + d * k11
+            female0 = c * (k11 - k12) + d * n
             lo, run = 0, FLIP_NONE
-            # The outcome changes only at a cut: from 0 and from each cut in [0, n]
-            # it holds up to the next.  A repeated cut repeats the outcome.
-            for start in sorted((0, male, root, female)):
+            # The outcome changes only at a cut, so it holds from 0 and from each
+            # cut in [0, n] up to the next; a form with s = 0 keeps its sign and
+            # proposes no cut beyond 0.  A repeated cut repeats the outcome.
+            for start in sorted((0, (male0 + male_t) // male_s if male_s else 0,
+                                 (root0 + root_t) // root_s if root_s else 0,
+                                 (female0 + female_t) // female_s if female_s else 0)):
                 if 0 <= start <= n:
-                    is_male = (start < male) == male_below
-                    flip = flips[is_male and (start < female) == female_below][
-                        is_male and (start < root) == root_below]
+                    male = male0 > male_s * start
+                    flip = flips[male and female0 > female_s * start][
+                        male and root0 > root_s * start]
                     if flip is not run:
                         if run is not FLIP_NONE:
                             yield k11, k12, lo, start, run

@@ -1,8 +1,11 @@
 import math
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import quantum_replicator
 from quantum_replicator import ClassicalBimatrix, InitialStateWeights, SimplifiedGame
 
 
@@ -22,6 +25,13 @@ def first_integral(fld, x, y):
     p, q, r, s = fld.x_constant, fld.x_slope, fld.y_constant, fld.y_slope
     return (r * math.log(x) - (r + s) * math.log(1.0 - x)
             - p * math.log(y) + (p + q) * math.log(1.0 - y))
+
+
+def fresh_env():
+    """The environment of a fresh interpreter that imports this package's source."""
+    src = str(Path(quantum_replicator.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 def random_state(rng):

@@ -10,8 +10,8 @@ import re
 import shutil
 from pathlib import Path
 
-from quantum_replicator import cli
-from quantum_replicator.scenarios import RESOLUTION_LIMIT
+from quantum_replicator import ValidationError, cli
+from quantum_replicator.scenarios import _EXACT_PAYOFF_LIMIT, RESOLUTION_LIMIT
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bytediff", ROOT / "tools" / "bytediff.py")
@@ -62,6 +62,18 @@ def requested_steps(call):
     return grid * grid * steps if type(grid) is type(steps) is int else 0
 
 
+def integer_payoff_size(call):
+    """The largest payoff size of the reduced game of a drawn call's spec, where
+    the spec holds a valid game of integer payoffs; else None."""
+    spec = call["files"].get("spec.json")
+    try:
+        game = cli._parse_game(spec if isinstance(spec, dict) else {})
+    except ValidationError:
+        return None
+    payoffs = (game.a, game.b, game.c, game.d)
+    return max(map(abs, payoffs)) if all(p.is_integer() for p in payoffs) else None
+
+
 def test_draws_are_seeded_and_cover_the_promised_inputs():
     calls = bytediff.draw_calls(3, 500)
     text = json.dumps(calls)  # a drawn NaN equals no NaN, its text does
@@ -84,6 +96,12 @@ def test_draws_are_seeded_and_cover_the_promised_inputs():
     resolutions = [requested(call, "resolution")[0] for call in calls
                    if call["argv"][0] == "scan"]
     assert sum(type(r) is int and 30 <= r <= RESOLUTION_LIMIT for r in resolutions) >= 10
+    # scans of integer games on both sides of the bound of exact scans, near it
+    sizes = {integer_payoff_size(call) for call in calls if call["argv"][0] == "scan"}
+    sizes.discard(None)
+    bound = _EXACT_PAYOFF_LIMIT
+    assert any(bound // 2 < size <= bound for size in sizes)
+    assert any(bound < size <= 2 * bound for size in sizes)
 
 
 def test_command_flags_are_the_cli_flags():

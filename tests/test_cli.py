@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import quantum_replicator
 from quantum_replicator.cli import (_VALUE_FLAGS, COMMANDS, CSV_CHUNK_ROWS, _emit_json,
                                     _parse_args, build_parser, main)
 from quantum_replicator import cli, dynamics
@@ -26,6 +25,7 @@ from quantum_replicator.games import (ClassicalBimatrix, InitialStateWeights,
 from quantum_replicator.scenarios import RESOLUTION_LIMIT, make_case, scan_flip
 from quantum_replicator.stability import DEFAULT_ZERO_TOL, linearize
 
+from conftest import fresh_env
 from test_scenarios import games
 
 CASE_A_SPEC = {"game": {"a": 1, "b": -1, "c": -1, "d": 1},
@@ -48,13 +48,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def fresh_env():
-    """The environment of a fresh interpreter that imports this package's source."""
-    src = str(Path(quantum_replicator.__file__).resolve().parents[1])
-    path = [src, os.environ.get("PYTHONPATH")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 class TestTransform:

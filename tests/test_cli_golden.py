@@ -7,10 +7,14 @@ output byte: update it only for a deliberate change of the CLI's output.
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
 from quantum_replicator.cli import main
+
+from conftest import fresh_env
 
 SPECS = {
     "case_a.json": {"game": {"a": 1, "b": -1, "c": -1, "d": 1},
@@ -189,3 +193,31 @@ def test_out_file_matches_stdout(argv, spec_dir, capsys):
     to_file = capsys.readouterr()
     assert (spec_dir / "result.txt").read_text(encoding="utf-8") == stdout.out
     assert to_file.out == "" and to_file.err == stdout.err
+
+
+# Run with SIGCHLD ignored across exec, where the CLI keeps a portrait in one process.
+IGNORE_SIGCHLD = ("import os, signal, sys; "
+                  "signal.signal(signal.SIGCHLD, signal.SIG_IGN); "
+                  "os.execv(sys.argv[1], sys.argv[1:])")
+
+
+@pytest.mark.parametrize("argv", [
+    "demo a", "scan --spec case_a.json --resolution 40",
+    "scan --spec full.json --resolution 40",
+    "portrait --spec case_a.json --grid 5 --max-steps 2000"])
+def test_fresh_process_writes_the_pinned_bytes(argv, spec_dir):
+    # The pinned bytes hold in a fresh interpreter: to a real pipe, to a file
+    # whose name starts with "-" and follows --out as a separate word, and with
+    # SIGCHLD ignored.  The portrait is large enough to split its orbits across
+    # worker processes; the two scans are those of the integer decider's runs
+    # and of the point-by-point scan of a game whose payoffs are not all integers.
+    cli = [sys.executable, "-m", "quantum_replicator.cli", *argv.split()]
+    env = fresh_env()
+    piped = subprocess.run(cli, capture_output=True, env=env, check=True)
+    to_file = subprocess.run([*cli, "--out", "-o.txt"], capture_output=True, env=env,
+                             check=True)
+    ignored = subprocess.run([sys.executable, "-c", IGNORE_SIGCHLD, *cli],
+                             capture_output=True, env=env, check=True)
+    assert piped.stderr == to_file.stderr == to_file.stdout == ignored.stderr == b""
+    outputs = (piped.stdout, (spec_dir / "-o.txt").read_bytes(), ignored.stdout)
+    assert [hashlib.sha256(data).hexdigest() for data in outputs] == [GOLDEN[argv][1]] * 3

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 import tracemalloc
@@ -163,7 +164,8 @@ class TestScan:
             assert [(s.as_tuple(), flip) for s, flip in hits] == [
                 (tuple(ki / r for ki in k), flip) for k, flip in exact.scan(payoffs, r)]
 
-    @given(st.tuples(*[st.integers(-6, 6)] * 4), st.integers(1, 40))
+    @given(st.tuples(*[st.integers(-6, 6) | st.integers(-2**16 - 1, 2**16 + 1)] * 4),
+           st.integers(1, 40))
     @example((3, -3, 2, 5), 17)  # a + b = 0: the male margin is constant on a line
     @example((2, 5, -4, 4), 17)  # c + d = 0: so is the female root form
     @example((-3, 4, 2, 0), 17)  # d = 0: so is the female margin
@@ -175,7 +177,8 @@ class TestScan:
     def test_integer_runs_are_the_per_point_runs(self, payoffs, r):
         # Integer payoffs up to 2**16 in size are decided a line at a time, any
         # other game point by point: both must give the same runs, and so the
-        # same hits.  Runs that meet never share a label.
+        # same hits, with at most four runs on a line.  Runs that meet never
+        # share a label.
         game = SimplifiedGame(*payoffs)
         in_bound = max(map(abs, payoffs)) <= 2**16
         decider = _scan_integer if in_bound else _scan_lattice
@@ -183,6 +186,8 @@ class TestScan:
         expected = list(_scan_lattice(game, r))
         if in_bound:
             assert list(_scan_integer(game, r)) == expected
+            lines = collections.Counter((k11, k12) for k11, k12, *_ in expected)
+            assert max(lines.values(), default=0) <= 4
         for (*line, _, hi, flip), (*next_line, lo, _, next_flip) in zip(expected,
                                                                         expected[1:]):
             assert (line, hi, flip) != (next_line, lo, next_flip)

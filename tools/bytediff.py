@@ -7,12 +7,13 @@ Usage::
 
 Draws M seeded calls of all seven CLI commands: valid and malformed specs,
 output to ``--out`` and to stdout, flag values that start with "-", payloads
-near 1e308, ``1e400`` written in a spec, and games scaled by ``2**k``.  Each
-DIR is a source tree holding ``src/quantum_replicator``.  The calls are drawn
-here, so both trees get the same ones.  Each tree runs all of them in one
-fresh interpreter, with its ``src`` first on ``sys.path``, through
-``cli.main`` in process; the README guarantees that a call in process gives
-the bytes of the same command in a fresh process.  Every call runs in a
+near 1e308, ``1e400`` written in a spec, games scaled by ``2**k``, and
+integer games with one payoff at ``2**16``, the largest scanned exactly, or
+just past it.  Each DIR is a source tree holding ``src/quantum_replicator``.
+The calls are drawn here, so both trees get the same ones.  Each tree runs all
+of them in one fresh interpreter, with its ``src`` first on ``sys.path``,
+through ``cli.main`` in process; the README guarantees that a call in process
+gives the bytes of the same command in a fresh process.  Every call runs in a
 directory of its own.  Its exit code, stdout, stderr and the bytes of every
 file left in that directory are compared.
 
@@ -232,9 +233,13 @@ def _draw_spec(rng):
 
 def _draw_game(rng):
     keys = BIMATRIX_KEYS if rng.random() < 0.25 else GAME_KEYS
-    if rng.random() < 0.3:  # a small integer game scaled by 2**k, exactly
+    kind = rng.random()
+    if kind < 0.3:  # a small integer game scaled by 2**k, exactly
         scale = 2.0 ** rng.randint(-60, 60)
         game = {key: rng.randint(-6, 6) * scale for key in keys}
+    elif kind < 0.4:  # an integer game at the bound of exact scans or just past it
+        game = {key: rng.randint(-6, 6) for key in keys}
+        game[rng.choice(keys)] = rng.choice((1, -1)) * rng.choice((2 ** 16, 2 ** 16 + 1))
     else:
         game = {key: _draw_payoff(rng) for key in keys}
     shape = rng.random()
