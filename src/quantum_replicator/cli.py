@@ -239,22 +239,6 @@ def _csv_piece(lines):
     return "\n".join(lines) + "\n"
 
 
-def _orbit_lines(trajectories, first_id):
-    """The CSV line ``<id>,<t>,<x>,<y>`` of every sample, trajectory by trajectory.
-
-    The ids count the trajectories drawn from first_id, so they stay
-    consecutive over skipped seeds.  The trajectories share one step, so sample
-    i of each has t = i * step: each t cell is formatted once, for the first
-    trajectory that reaches it.
-    """
-    t_cells = []
-    for tid, traj in enumerate(trajectories, first_id):
-        if len(traj) > len(t_cells):
-            t_cells.extend([f"{t}," for t in traj.times[len(t_cells):]])
-        yield from map("".join, zip(repeat(f"{tid},"), t_cells, map(repr, traj.xs),
-                                    repeat(","), map(repr, traj.ys)))
-
-
 def _transform(args, spec):
     game = _parse_game(spec, bimatrix=True)
     state = _parse_weights(spec, args.renormalize)
@@ -381,8 +365,23 @@ def _portrait_pieces(fld, seeds, options):
 
 
 def _slice_pieces(fld, seeds, lo, hi, options):
-    trajectories = (integrate(fld, seed, **options) for seed in seeds[lo:hi])
-    return _csv_chunks(_orbit_lines(trajectories, lo))
+    """The CSV pieces of the orbits from seeds[lo:hi], integrated one at a time:
+    the line ``<id>,<t>,<x>,<y>`` of every sample, with no Python step per line.
+
+    The ids count the seeds from lo.  The orbits share one step, so sample i of
+    each has t = i * step: each t cell is formatted once, for the first orbit
+    that reaches it.  Pieces span orbits: cut at each orbit, tiny ones cost more.
+    """
+    t_cells = []
+
+    def orbit_lines(tid, seed):
+        traj = integrate(fld, seed, **options)
+        if len(traj) > len(t_cells):
+            t_cells.extend([f"{t}," for t in traj.times[len(t_cells):]])
+        return map("".join, zip(repeat(f"{tid},"), t_cells, map(repr, traj.xs),
+                                repeat(","), map(repr, traj.ys)))
+
+    return _csv_chunks(chain.from_iterable(map(orbit_lines, range(lo, hi), seeds[lo:hi])))
 
 
 def _start_worker(fld, seeds, lo, hi, options):

@@ -288,7 +288,8 @@ def scan_flip(game: SimplifiedGame, resolution: int):
     (weights, flip) pairs whose classical-vs-quantum comparison flips.
     ``resolution`` is at most ``RESOLUTION_LIMIT``.
     """
-    runs, r = _scan_runs(game, resolution), resolution  # r is checked by _scan_runs
+    runs = _scan_runs(game, resolution)  # checks resolution before w is built
+    r = resolution
     # The hits share these floats: a fresh k / r per weight would hold a third more.
     w = [k / r for k in range(r + 1)]
     return [(InitialStateWeights(w[k11], w[k12], w[k21], w[r - k11 - k12 - k21]), flip)

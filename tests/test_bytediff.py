@@ -2,12 +2,15 @@
 tree shows no difference, and one changed output line shows, also one that
 only a portrait worker writes."""
 
+import collections
 import contextlib
 import importlib.util
 import io
 import json
+import math
 import re
 import shutil
+from fractions import Fraction
 from pathlib import Path
 
 from quantum_replicator import ValidationError, cli
@@ -74,6 +77,28 @@ def integer_payoff_size(call):
     return max(map(abs, payoffs)) if all(p.is_integer() for p in payoffs) else None
 
 
+def has_zero_bracket(call):
+    """Whether a drawn call's spec holds an integer game (a, b, c, d) and weights
+    that round lattice weights k / q, q <= 30, at which a face bracket is exactly
+    zero as a sum of two nonzero terms, computed in Fraction."""
+    spec = call["files"].get("spec.json")
+    game = spec.get("game") if isinstance(spec, dict) else None
+    weights = spec.get("weights") if isinstance(spec, dict) else None
+    if not (isinstance(game, dict) and list(game) == list("abcd")
+            and all(type(p) is int for p in game.values())
+            and isinstance(weights, list) and len(weights) == 4
+            and all(type(w) in (int, float) and math.isfinite(w) for w in weights)):
+        return False
+    k = [Fraction(w).limit_denominator(30) for w in weights]
+    if list(map(float, k)) != weights or sum(k) != 1:
+        return False
+    a, b, c, d = game.values()
+    K1, K2 = k[0] - k[2], k[3] - k[1]
+    # the two terms of p, p + q, r and r + s of exact.brackets, up to sign
+    terms = ((a * K1, b * K2), (a * K2, b * K1), (c * K1, d * K2), (c * K2, d * K1))
+    return any(u + v == 0 and u != 0 for u, v in terms)
+
+
 def test_draws_are_seeded_and_cover_the_promised_inputs():
     calls = bytediff.draw_calls(3, 500)
     text = json.dumps(calls)  # a drawn NaN equals no NaN, its text does
@@ -102,6 +127,9 @@ def test_draws_are_seeded_and_cover_the_promised_inputs():
     bound = _EXACT_PAYOFF_LIMIT
     assert any(bound // 2 < size <= bound for size in sizes)
     assert any(bound < size <= 2 * bound for size in sizes)
+    # integer games with a face bracket exactly zero at lattice weights
+    zero = collections.Counter(call["argv"][0] for call in calls if has_zero_bracket(call))
+    assert zero["classify"] >= 5 and zero["portrait"] >= 5
 
 
 def test_command_flags_are_the_cli_flags():

@@ -309,6 +309,39 @@ class TestPortrait:
         assert peaks[1] <= 1.5 * peaks[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["portrait", "--grid", "2"],
+    ["simulate", "--start", "0.3,0.3"],
+], ids=["portrait", "simulate"])
+def test_no_python_call_per_csv_row(spec_file, tmp_path, argv):
+    # A CSV line is made by map and zip, not by a Python function or a generator
+    # resumed per line: 450 more samples per orbit make no more Python calls.
+    # All four portrait orbits run to max-steps, in this process, and both sizes
+    # fit in one CSV piece.
+    out_path = tmp_path / "out.csv"
+    argv = [*argv, "--spec", spec_file(CLASSICAL_C_SPEC), "--out", str(out_path)]
+    orbits = 4 if argv[0] == "portrait" else 1
+    assert orbits * 500 < cli._FORK_MIN_STEPS and orbits * 501 < CSV_CHUNK_ROWS
+    with contextlib.redirect_stderr(io.StringIO()):
+        main([*argv, "--max-steps", "5"])  # imports made on the first call
+        calls = []
+        for steps in (50, 500):
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                count += event == "call"
+            sys.setprofile(profile)
+            try:
+                code = main([*argv, "--max-steps", str(steps)])
+            finally:
+                sys.setprofile(None)
+            assert code == 0
+            assert len(out_path.read_text().splitlines()) == 1 + orbits * (steps + 1)
+            calls.append(count)
+    assert calls[0] == calls[1]
+
+
 FULL_DEVICE = pytest.mark.skipif(not os.path.exists("/dev/full"),
                                  reason="no /dev/full on this platform")
 

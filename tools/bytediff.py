@@ -7,14 +7,15 @@ Usage::
 
 Draws M seeded calls of all seven CLI commands: valid and malformed specs,
 output to ``--out`` and to stdout, flag values that start with "-", payloads
-near 1e308, ``1e400`` written in a spec, games scaled by ``2**k``, and
-integer games with one payoff at ``2**16``, the largest scanned exactly, or
-just past it.  Each DIR is a source tree holding ``src/quantum_replicator``.
-The calls are drawn here, so both trees get the same ones.  Each tree runs all
-of them in one fresh interpreter, with its ``src`` first on ``sys.path``,
-through ``cli.main`` in process; the README guarantees that a call in process
-gives the bytes of the same command in a fresh process.  Every call runs in a
-directory of its own.  Its exit code, stdout, stderr and the bytes of every
+near 1e308, ``1e400`` written in a spec, games scaled by ``2**k``, integer
+games with one payoff at ``2**16``, the largest scanned exactly, or just past
+it, and integer games with a face bracket that is exactly zero at lattice
+weights, such as (1, -3, 5, 1) at (4, 9, 7, 8)/28.  Each DIR is a source tree
+holding ``src/quantum_replicator``.  The calls are drawn here, so both trees
+get the same ones.  Each tree runs all of them in one fresh interpreter, with
+its ``src`` first on ``sys.path``, through ``cli.main`` in process; the README
+guarantees that a call in process gives the bytes of the same command in a
+fresh process.  Every call runs in a directory of its own.  Its exit code, stdout, stderr and the bytes of every
 file left in that directory are compared.
 
 Prints the calls that differ, grouped by command and flags, and exits 1 if
@@ -30,6 +31,7 @@ import argparse
 import collections
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -76,7 +78,7 @@ def _draw_call(rng):
         argv = ["demo", rng.choice("aaabbbcccd")]  # d is refused
     else:
         argv = [command]
-        spec = _draw_spec(rng)
+        spec = _draw_spec(rng, command)
         where = rng.random()
         if where < 0.95:
             flags.append(("--spec", "spec.json"))
@@ -217,10 +219,12 @@ def _shortest_prefix(flag, flags):
     return flag
 
 
-def _draw_spec(rng):
+def _draw_spec(rng, command):
     """The spec as a JSON-ready object, or as text when it is malformed."""
     if rng.random() < 0.04:
         return rng.choice(MALFORMED_SPECS)
+    if command != "scan" and rng.random() < 0.15:  # a scan reads no weights
+        return _draw_zero_bracket(rng)
     spec = {}
     if rng.random() < 0.98:
         spec["game"] = _draw_game(rng)
@@ -250,6 +254,28 @@ def _draw_game(rng):
     elif shape < 0.04:
         return [1, 2, 3, 4]
     return game
+
+
+def _draw_zero_bracket(rng):
+    """A spec of an integer game and lattice weights k / q at which a face bracket
+    of the quantum field is exactly zero, as (1, -3, 5, 1) at (4, 9, 7, 8)/28.
+
+    With K1 = w11 - w21 and K2 = w22 - w12, the brackets on the faces are
+    a K1 + b K2 and a K2 + b K1, up to sign, and the same forms in c and d.
+    One of them is made zero as a sum of two terms; in floats the weights are
+    rounded, and the bracket may come out a rounding error away from zero.
+    """
+    q = rng.randint(2, 30)
+    cuts = sorted(rng.randint(0, q) for _ in range(3))
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, q])]
+    k1, k2 = parts[0] - parts[2], parts[3] - parts[1]
+    if rng.random() < 0.5:  # the bracket on the opposite face
+        k1, k2 = k2, k1
+    g, m = math.gcd(k1, k2) or 1, rng.choice((-2, -1, 1, 2))
+    zero = [m * k2 // g, -m * k1 // g]  # u k1 + v k2 = 0
+    other = [rng.randint(-6, 6), rng.randint(-6, 6)]
+    game = zero + other if rng.random() < 0.5 else other + zero
+    return {"game": dict(zip(GAME_KEYS, game)), "weights": [k / q for k in parts]}
 
 
 def _draw_payoff(rng):
