@@ -17,7 +17,6 @@ import os
 import sys
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add
 
 from .dynamics import (DEFAULT_CONVERGENCE_TOL, DEFAULT_MAX_STEPS, DEFAULT_STEP,
                        MAX_STEPS_LIMIT, ReplicatorField, _portrait_seeds, integrate)
@@ -421,7 +420,8 @@ def _run_chunks(runs, r):
     in pieces of CSV_CHUNK_ROWS lines or a run more.
 
     Row k21 of a run is the cells of k11, k12, k21 and k22 = r - k11 - k12 - k21,
-    then the flip: the rows of a run are one join of its k21 and k22 cells, in step.
+    then the flip: a run's text is one join of three parts a row, laid out by
+    slice assignment, so no string is made per row.
     """
     # Every weight is some k / r: format each of them once, not once per cell.
     cells = [f"{k / r}," for k in range(r + 1)]
@@ -429,10 +429,15 @@ def _run_chunks(runs, r):
     texts, rows = [], 0
     for k11, k12, lo, hi, flip in runs:
         head, skip = cells[k11] + cells[k12], k11 + k12
-        joined = f"{flip}\n{head}".join(map(add, cells[lo:hi],
-                                             k22_cells[skip + lo:skip + hi]))
+        # Row i is parts[3i:3i + 3]: the end of the row before and this row's
+        # head, then its k21 and k22 cells.
+        parts = [f"{flip}\n{head}"] * (3 * (hi - lo))
+        parts[0] = head
+        parts[1::3] = cells[lo:hi]
+        parts[2::3] = k22_cells[skip + lo:skip + hi]
         # The run's rows, without the newline after the last: _csv_piece adds it.
-        texts.append(f"{head}{joined}{flip}")
+        parts.append(flip)
+        texts.append("".join(parts))
         rows += hi - lo
         if rows >= CSV_CHUNK_ROWS:
             yield _csv_piece(texts)

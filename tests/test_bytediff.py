@@ -13,6 +13,8 @@ import shutil
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from quantum_replicator import ValidationError, cli
 from quantum_replicator.scenarios import _EXACT_PAYOFF_LIMIT, RESOLUTION_LIMIT
 
@@ -121,15 +123,24 @@ def test_draws_are_seeded_and_cover_the_promised_inputs():
     resolutions = [requested(call, "resolution")[0] for call in calls
                    if call["argv"][0] == "scan"]
     assert sum(type(r) is int and 30 <= r <= RESOLUTION_LIMIT for r in resolutions) >= 10
-    # scans of integer games on both sides of the bound of exact scans, near it
-    sizes = {integer_payoff_size(call) for call in calls if call["argv"][0] == "scan"}
-    sizes.discard(None)
-    bound = _EXACT_PAYOFF_LIMIT
-    assert any(bound // 2 < size <= bound for size in sizes)
-    assert any(bound < size <= 2 * bound for size in sizes)
     # integer games with a face bracket exactly zero at lattice weights
     zero = collections.Counter(call["argv"][0] for call in calls if has_zero_bracket(call))
     assert zero["classify"] >= 5 and zero["portrait"] >= 5
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_draws_scan_both_sides_of_the_exact_scan_bound(seed):
+    # Scans of integer games just within and just past the bound of exact scans,
+    # each at a resolution whose hits can fill more than one CSV chunk.
+    bound = _EXACT_PAYOFF_LIMIT
+    sides = collections.Counter()
+    for call in bytediff.draw_calls(seed, 500):
+        size = integer_payoff_size(call) if call["argv"][0] == "scan" else None
+        r = requested(call, "resolution")[0] if size else None
+        if type(r) is int and 30 <= r <= RESOLUTION_LIMIT:
+            sides["within"] += bound // 2 < size <= bound
+            sides["past"] += bound < size <= 2 * bound
+    assert sides["within"] >= 5 and sides["past"] >= 5
 
 
 def test_command_flags_are_the_cli_flags():

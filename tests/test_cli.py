@@ -19,7 +19,9 @@ from quantum_replicator.cli import (_VALUE_FLAGS, COMMANDS, CSV_CHUNK_ROWS, _emi
 from quantum_replicator import cli, dynamics
 from quantum_replicator.dynamics import (GRID_LIMIT, MAX_STEPS_LIMIT, ReplicatorField,
                                          integrate, phase_portrait)
-from quantum_replicator.ess import compare_classical_quantum
+from quantum_replicator.ess import (FLIP_GAINED_ATTRACTOR, FLIP_GAINED_ESS,
+                                     FLIP_LOST_ATTRACTOR, FLIP_LOST_ESS,
+                                     compare_classical_quantum)
 from quantum_replicator.games import (ClassicalBimatrix, InitialStateWeights,
                                       SimplifiedGame, quantum_transform)
 from quantum_replicator.scenarios import RESOLUTION_LIMIT, make_case, scan_flip
@@ -309,6 +311,21 @@ class TestPortrait:
         assert peaks[1] <= 1.5 * peaks[0]
 
 
+def python_calls(call):
+    """call()'s result and the number of Python "call" events it made."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, count
+
+
 @pytest.mark.parametrize("argv", [
     ["portrait", "--grid", "2"],
     ["simulate", "--start", "0.3,0.3"],
@@ -326,19 +343,27 @@ def test_no_python_call_per_csv_row(spec_file, tmp_path, argv):
         main([*argv, "--max-steps", "5"])  # imports made on the first call
         calls = []
         for steps in (50, 500):
-            count = 0
-
-            def profile(frame, event, arg):
-                nonlocal count
-                count += event == "call"
-            sys.setprofile(profile)
-            try:
-                code = main([*argv, "--max-steps", str(steps)])
-            finally:
-                sys.setprofile(None)
+            code, count = python_calls(lambda: main([*argv, "--max-steps", str(steps)]))
             assert code == 0
             assert len(out_path.read_text().splitlines()) == 1 + orbits * (steps + 1)
             calls.append(count)
+    assert calls[0] == calls[1]
+
+
+def test_no_python_call_per_scan_row(monkeypatch):
+    # A run's rows are laid out by slice assignment and joined once: the 39 711
+    # rows of whole lines make no more Python calls than 1 891 one-row runs.
+    # Both fit in one CSV piece here, since each piece is one more call.
+    r, lines = 60, [(k11, k12) for k11 in range(61) for k12 in range(61 - k11)]
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 40_000)
+    one_row = [(k11, k12, 0, 1, FLIP_LOST_ESS) for k11, k12 in lines]
+    whole = [(k11, k12, 0, r - k11 - k12 + 1, FLIP_LOST_ESS) for k11, k12 in lines]
+    assert len(lines) == 1891 and sum(hi - lo for *_, lo, hi, _ in whole) == 39_711
+    calls = []
+    for runs in (one_row, whole):
+        pieces, count = python_calls(lambda: list(cli._run_chunks(runs, r)))
+        assert len(pieces) == 1
+        calls.append(count)
     assert calls[0] == calls[1]
 
 
@@ -549,6 +574,44 @@ class TestPortraitWorkers:
         assert cli._worker_count(seeds, 100_000) == 1
 
 
+FLIPS = (FLIP_GAINED_ESS, FLIP_LOST_ESS, FLIP_GAINED_ATTRACTOR, FLIP_LOST_ATTRACTOR)
+
+
+@st.composite
+def scan_runs(draw):
+    """A resolution r and runs (k11, k12, lo, hi, flip) as _scan_runs makes them:
+    lines in order, and on each line disjoint runs [lo, hi) of k21 in 0..n, in
+    order, n = r - k11 - k12.  Up to 200 lines, so that the runs can fill several
+    CSV pieces."""
+    r = draw(st.integers(1, RESOLUTION_LIMIT))
+    lines = [(k11, k12) for k11 in range(r + 1) for k12 in range(r + 1 - k11)]
+    start, step = draw(st.integers(0, len(lines) - 1)), draw(st.integers(1, 50))
+    # None for the whole line, else cuts taken modulo n + 2
+    cut_lists = st.none() | st.lists(st.integers(0, RESOLUTION_LIMIT + 1), max_size=8)
+    flips, runs = st.sampled_from(FLIPS), []
+    for k11, k12 in lines[start::step][:draw(st.integers(0, 200))]:
+        n, cuts = r - k11 - k12, draw(cut_lists)
+        cuts = [0, n + 1] if cuts is None else sorted({cut % (n + 2) for cut in cuts})
+        for lo, hi in zip(cuts[::2], cuts[1::2]):
+            runs.append((k11, k12, lo, hi, draw(flips)))
+    return r, runs
+
+
+def naive_pieces(runs, r):
+    """The CSV pieces of runs, one row at a time: a piece ends after the run that
+    brings its rows to CSV_CHUNK_ROWS or more."""
+    pieces, rows = [], []
+    for k11, k12, lo, hi, flip in runs:
+        rows += [f"{k11 / r},{k12 / r},{k21 / r},{(r - k11 - k12 - k21) / r},{flip}\n"
+                 for k21 in range(lo, hi)]
+        if len(rows) >= CSV_CHUNK_ROWS:
+            pieces.append("".join(rows))
+            rows = []
+    if rows:
+        pieces.append("".join(rows))
+    return pieces
+
+
 class TestScan:
     def test_header_and_vertex_absent(self, spec_file, capsys):
         code, out, _ = run(capsys, "scan", "--spec", spec_file(CASE_A_SPEC),
@@ -601,6 +664,20 @@ class TestScan:
         rows = "".join(",".join([*map(repr, state.as_tuple()), flip]) + "\n"
                        for state, flip in scan_flip(game, r))
         assert (code, out.getvalue()) == (0, "w11,w12,w21,w22,flip\n" + rows)
+
+    @given(scan_runs())
+    # whole lines of k12 = 0 at the resolution limit: 31 626 rows, in 8 pieces
+    @example((250, [(k11, 0, 0, 251 - k11, FLIPS[k11 % 4]) for k11 in range(251)]))
+    # a one-row run at every other point of every line: 20 336 rows, in 5 pieces
+    @example((60, [(k11, k12, k21, k21 + 1, FLIPS[k21 % 4])
+                   for k11 in range(61) for k12 in range(61 - k11)
+                   for k21 in range(0, 61 - k11 - k12, 2)]))
+    @example((1, [(0, 0, 0, 2, FLIP_GAINED_ESS), (0, 1, 0, 1, FLIP_LOST_ATTRACTOR),
+                  (1, 0, 0, 1, FLIP_LOST_ESS)]))
+    @settings(max_examples=40, deadline=None)
+    def test_pieces_are_the_rows_one_at_a_time(self, case):
+        r, runs = case
+        assert list(cli._run_chunks(iter(runs), r)) == naive_pieces(runs, r)
 
     def test_memory_does_not_grow_with_the_hits(self, spec_file, tmp_path):
         # The rows are made as they are written, one CSV chunk at a time; holding

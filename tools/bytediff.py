@@ -24,7 +24,9 @@ small (grid at most 3, max-steps at most 200, resolution at most 8), so that a
 tree runs 500 of them in about a second.  The exceptions are a share of the
 portraits, with grid 3 and 2300 to 2499 steps: enough that the CLI splits their
 orbits across worker processes; and a share of the scans, with resolution 30 to
-48: enough that a scan with many hits writes more than one CSV chunk.
+48: enough that a scan with many hits writes more than one CSV chunk.  Among
+those are every 25th call, a scan of an integer game at the bound of exact
+scans, alternately within it and just past it, so that each seed draws both.
 """
 
 import argparse
@@ -59,6 +61,11 @@ OVERFLOW = "@1e400@"
 MALFORMED_SPECS = ("", "{", "[1, 2]", '"game"', "null", '{"game": }', "[" * 5000,
                    "\udcff{}")  # the lone surrogate is written as the byte 0xff
 
+# The largest payoff size of an integer game that a scan decides exactly, and
+# how often a scan of such a game at that bound is drawn.
+EXACT_SCAN_BOUND = 2 ** 16
+BOUND_SCAN_EVERY = 25
+
 # How many calls of each differing group are printed, and how much of a line.
 SHOWN_CALLS = 3
 SHOWN_CHARS = 100
@@ -66,9 +73,32 @@ SHOWN_CHARS = 100
 
 def draw_calls(seed, count):
     """count calls drawn from seed, each {"argv": [...], "files": {name: spec}}
-    with each spec as spec_text writes it."""
-    rng = random.Random(seed)
-    return [_draw_call(rng) for _ in range(count)]
+    with each spec as spec_text writes it.  Every BOUND_SCAN_EVERY-th call is a
+    scan of an integer game at the bound of exact scans, alternately within it
+    and just past it, drawn from a stream of its own: the other calls are those
+    the seed draws without them."""
+    rng, bound_rng = random.Random(seed), random.Random(f"bound-scan:{seed}")
+    return [_draw_bound_scan(bound_rng, past=index // BOUND_SCAN_EVERY % 2 == 1)
+            if index % BOUND_SCAN_EVERY == 0 else _draw_call(rng)
+            for index in range(count)]
+
+
+def _draw_bound_scan(rng, past):
+    """A scan of an integer game with one payoff of size in (2**15, 2**16], or
+    in (2**16, 2**17] if past, often at the edge, at a resolution whose hits can
+    fill more than one CSV chunk."""
+    bound = EXACT_SCAN_BOUND
+    low, high = (bound + 1, 2 * bound) if past else (bound // 2 + 1, bound)
+    size = rng.choice((low if past else high, rng.randint(low, high)))
+    game = {key: rng.randint(-6, 6) for key in GAME_KEYS}
+    game[rng.choice(GAME_KEYS)] = rng.choice((1, -1)) * size
+    flags = [("--spec", "spec.json"), ("--resolution", str(rng.randint(30, 48))),
+             *_draw_out(rng, "scan")]
+    rng.shuffle(flags)
+    argv = ["scan"]
+    for flag, value in flags:
+        argv.extend(_flag_words(rng, "scan", flag, value))
+    return {"argv": argv, "files": {"spec.json": {"game": game}}}
 
 
 def _draw_call(rng):
